@@ -94,6 +94,7 @@ class ResultRow:
     trials: int
     seed: int
     errors: int
+    error_messages: tuple[str, ...] = ()   # one per failed trial; not written to CSV
 
 
 def derive_trial_seeds(seed: int, axis: str, axis_value, variant: str,
@@ -180,7 +181,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for idx, (axis_value, variant_value, scheme) in enumerate(groups):
         metrics = [m for i, m, err in outcomes if i == idx and err is None]
-        errors = sum(1 for i, _, err in outcomes if i == idx and err is not None)
+        messages = tuple(f"trial {task[5]}: {err}" for task, (i, _, err) in zip(tasks, outcomes)
+                         if i == idx and err is not None)
         if metrics:
             arr = np.array(metrics)
             mean_sst, mean_delay, mean_eta = (float(arr[:, 0].mean()),
@@ -192,7 +194,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
             scheme=scheme, axis=spec.axis, axis_value=axis_value,
             variant=spec.variant, variant_value=variant_value,
             mean_sst=mean_sst, mean_delay_s=mean_delay, mean_eta=mean_eta,
-            trials=spec.trials, seed=spec.seed, errors=errors))
+            trials=spec.trials, seed=spec.seed, errors=len(messages),
+            error_messages=messages))
     return rows
 
 
@@ -406,6 +409,10 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     rows = run_sweep(spec, threads=args.threads)
+    for r in rows:
+        for msg in r.error_messages:
+            print(f"sweep error: {r.scheme} {r.axis}={_fmt(r.axis_value)} "
+                  f"{r.variant}={_fmt(r.variant_value)} {msg}", file=sys.stderr)
     _write_out(rows_to_csv(rows), args.out)
     return 0
 

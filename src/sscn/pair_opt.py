@@ -18,6 +18,7 @@ caches doubles as the small-instance oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -126,6 +127,12 @@ class TabuState:
 # score evaluation
 # --------------------------------------------------------------------------
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, as hashable keys."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class _Direction:
     """Per-KB coefficient vectors of one link direction (sender -> receiver)."""
@@ -166,6 +173,11 @@ class _PairContext:
             self._make_direction(i, j, tau, rho),
             self._make_direction(j, i, tau, rho),
         )
+        self._scalars = [np.array([d.gain_d, d.gain_e, d.tau_s, d.rho_s]) for d in self.dirs]
+        # per direction: (coefficient key, 0) -> grid (score, power, lo, hi)
+        # and (coefficient key, golden-section steps) -> refined (score, power)
+        self._grid_memo: tuple[dict, dict] = ({}, {})
+        self._refine_memo: tuple[dict, dict] = ({}, {})
 
     def _make_direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray) -> _Direction:
         cat = self.scn.catalog
@@ -183,8 +195,25 @@ class _PairContext:
             rho_s=float(rho[s]),
         )
 
-    def _compose(self, d: _Direction, legit, leak, share, interp, interp_sq, rd, re):
-        """Directed score, secrecy value and delay (broadcasting helper)."""
+    def _coeffs(self, sender_bits: np.ndarray, matched: np.ndarray, which: int) -> np.ndarray:
+        """(n, 9) search inputs of direction ``which``, one row per candidate:
+        the five coefficients legit, leak, share, interp and interp_sq, on
+        which its power search depends, then the direction's gain_d, gain_e,
+        tau_s and rho_s.  A single candidate (1-D bits) gives one (9,) row."""
+        d = self.dirs[which]
+        rows = np.empty(matched.shape[:-1] + (9,))
+        rows[..., 0] = matched @ d.legit
+        rows[..., 1] = sender_bits @ d.leak
+        rows[..., 2] = matched @ d.share
+        rows[..., 3] = matched @ d.interp
+        rows[..., 4] = matched @ d.interp_sq
+        rows[..., 5:] = self._scalars[which]
+        return rows
+
+    def _compose(self, cols, rd, re):
+        """Directed score, secrecy value and delay (broadcasting helper).
+        ``cols`` holds the nine search inputs of ``_coeffs`` along axis 0."""
+        legit, leak, share, interp, interp_sq, _, _, tau_s, rho_s = cols
         v_s = np.maximum((rd * legit - re * leak) / self.bits_per_packet, 0.0)
         util = rd * interp / self.bits_per_packet
         stable = util < 1.0 - STABILITY_GUARD
@@ -195,19 +224,19 @@ class _PairContext:
             rd * (interp**2 + interp_sq) / (self.bits_per_packet * safe_share * 2.0 * safe_gap),
             0.0,
         )
-        score = np.where(stable, (1.0 + d.rho_s) * v_s - d.tau_s * delay, -np.inf)
+        score = np.where(stable, (1.0 + rho_s) * v_s - tau_s * delay, -np.inf)
         return score, v_s, np.where(stable, delay, np.inf), stable
 
-    def _rates_at(self, d: _Direction, power):
-        rd = self.bandwidth * np.log2(1.0 + power * d.gain_d / self.noise)
-        re = self.bandwidth * np.log2(1.0 + power * d.gain_e / self.noise)
+    def _rates_at(self, cols, power):
+        gain_d, gain_e = cols[5], cols[6]
+        rd = self.bandwidth * np.log2(1.0 + power * gain_d / self.noise)
+        re = self.bandwidth * np.log2(1.0 + power * gain_e / self.noise)
         return rd, re
 
-    def _coeffs(self, sender_bits: np.ndarray, matched: np.ndarray, d: _Direction):
-        return (matched @ d.legit, sender_bits @ d.leak, matched @ d.share,
-                matched @ d.interp, matched @ d.interp_sq)
+    def _score_at(self, cols, power):
+        return self._compose(cols, *self._rates_at(cols, power))[0]
 
-    def _power_bound(self, d: _Direction, interp):
+    def _power_bound(self, cols):
         """Per-candidate top of the stable power interval, capped at p_max.
 
         Utilization is rate * (mean interpretation load) / packet bits, so the
@@ -216,53 +245,42 @@ class _PairContext:
         [0, bound] instead of [0, p_max] keeps the grid resolution of the
         stable interval independent of the power budget.
         """
-        interp = np.asarray(interp, dtype=float)
+        interp, gain_d = cols[3], cols[5]
         with np.errstate(over="ignore"):
             exponent = np.where(interp > 0.0,
                                 self.bits_per_packet / (np.maximum(interp, 1e-300)
                                                         * self.bandwidth),
                                 np.inf)
-            boundary = (np.exp2(np.minimum(exponent, 2000.0)) - 1.0) * self.noise / d.gain_d
+            boundary = (np.exp2(np.minimum(exponent, 2000.0)) - 1.0) * self.noise / gain_d
         return np.minimum(self.p_max, boundary)
 
-    def _best_power(self, d: _Direction, legit, leak, share, interp, interp_sq):
-        """Grid + golden-section maximization of one direction, vectorized
-        over candidates.  Returns (best score, best power) arrays."""
-        upper = self._power_bound(d, interp)
+    def _grid_search(self, cols):
+        """Best grid power of each column of search inputs.  Returns (best
+        score, best power, bracket lo, bracket hi) arrays; the bracket spans
+        the grid neighbours of the best level."""
+        upper = self._power_bound(cols)
         grid = upper[:, None] * self.unit_grid[None, :]
-        rd, re = self._rates_at(d, grid)
-        scores, _, _, _ = self._compose(
-            d, legit[:, None], leak[:, None], share[:, None],
-            interp[:, None], interp_sq[:, None], rd, re)
+        scores = self._score_at(cols[:, :, None], grid)
         idx = np.argmax(scores, axis=1)
-        rows = np.arange(scores.shape[0])
-        best = scores[rows, idx]
-        best_p = grid[rows, idx]
-        if not self.params.power_refine:
-            return best, best_p
-
-        def f(p):
-            rd1, re1 = self._rates_at(d, p)
-            s, _, _, _ = self._compose(d, legit, leak, share, interp, interp_sq, rd1, re1)
-            return s
-
+        at = np.arange(scores.shape[0])
         last = len(self.unit_grid) - 1
-        lo = grid[rows, np.maximum(idx - 1, 0)]
-        hi = grid[rows, np.minimum(idx + 1, last)]
-        tol = self.params.power_tol_frac * self.p_max
-        width = float(np.max(hi - lo))
-        if width <= tol:
-            return best, best_p
-        iters = min(100, int(math.ceil(math.log(tol / width) / math.log(_INVPHI))))
+        return (scores[at, idx], grid[at, idx],
+                grid[at, np.maximum(idx - 1, 0)], grid[at, np.minimum(idx + 1, last)])
+
+    def _golden(self, cols, best, best_p, lo, hi, iters):
+        """Golden-section refinement of each column's bracket.  Every column
+        steps ``max(iters)`` times, but column n keeps improving its best only
+        during its first ``iters[n]`` steps, so its result is the one an
+        ``iters[n]``-step search would give."""
         a, b = lo, hi
         x1 = a + _INVPHI2 * (b - a)
         x2 = a + _INVPHI * (b - a)
-        f1, f2 = f(x1), f(x2)
+        f1, f2 = self._score_at(cols, x1), self._score_at(cols, x2)
         for x, fx in ((x1, f1), (x2, f2)):
             better = fx > best
             best = np.where(better, fx, best)
             best_p = np.where(better, x, best_p)
-        for _ in range(iters):
+        for step in range(int(iters.max())):
             left = f1 >= f2
             x1o, x2o, f1o, f2o = x1, x2, f1, f2
             b = np.where(left, x2o, b)
@@ -270,22 +288,91 @@ class _PairContext:
             x1 = np.where(left, a + _INVPHI2 * (b - a), x2o)
             x2 = np.where(left, x1o, a + _INVPHI * (b - a))
             fresh = np.where(left, x1, x2)
-            ff = f(fresh)
+            ff = self._score_at(cols, fresh)
             f1 = np.where(left, ff, f2o)
             f2 = np.where(left, f1o, ff)
-            better = ff > best
+            better = (ff > best) & (step < iters)
             best = np.where(better, ff, best)
             best_p = np.where(better, fresh, best_p)
         return best, best_p
 
+    def _refine_iters(self, lo: np.ndarray, hi: np.ndarray) -> int:
+        """Golden-section step count of a batch, set by its widest bracket;
+        0 when every bracket is already within tolerance."""
+        tol = self.params.power_tol_frac * self.p_max
+        width = float(np.max(hi - lo))
+        if width <= tol:
+            return 0
+        return min(100, int(math.ceil(math.log(tol / width) / math.log(_INVPHI))))
+
+    def _memoised(self, memo, keys, steps, coeffs, search):
+        """Per-direction results of ``search`` for every candidate.
+
+        ``memo[which]`` maps (coefficient key, ``steps[which]``) to a result
+        row; a direction whose ``steps`` entry is None is skipped.  The rows
+        missing from both directions are searched together in one call,
+        ``search(cols, todo)``, where ``cols`` holds their search inputs as
+        columns and ``todo`` lists (which, keys, batch row indices) per
+        direction in column order.
+        """
+        todo = []
+        for which in (0, 1):
+            if steps[which] is None:
+                continue
+            row_of = dict(zip(keys[which], range(len(keys[which]))))  # one row per key
+            fresh = [key for key in row_of if (key, steps[which]) not in memo[which]]
+            if fresh:
+                todo.append((which, fresh, [row_of[key] for key in fresh]))
+        if todo:
+            cols = np.vstack([coeffs[which][at] for which, _, at in todo]).T
+            found = search(cols, todo).tolist()
+            n = 0
+            for which, fresh, _ in todo:
+                memo[which].update(((key, steps[which]), res)
+                                   for key, res in zip(fresh, found[n:]))
+                n += len(fresh)
+        return [None if steps[which] is None
+                else np.array([memo[which][(key, steps[which])] for key in keys[which]])
+                for which in (0, 1)]
+
     def evaluate(self, cands: np.ndarray):
-        """Scores and per-direction optimized powers for (n, 2K) candidates."""
+        """Scores and per-direction optimized powers for (n, 2K) candidates.
+
+        Each direction is maximized by a grid search over its stable power
+        interval plus golden-section refinement of the best grid bracket.
+        Both depend on the candidate only through the direction's five
+        coefficients, so each distinct coefficient row is grid searched once
+        per context, i.e. once per subproblem call, where prices are fixed.
+        The refinement's step count is set by the widest bracket in the
+        batch, so refined results are kept per (coefficients, step count).
+        The searches missing from both directions run together in one grid
+        pass and one golden-section pass.
+
+        Keys are the exact coefficient bytes rather than the cache bits: a
+        batched matrix product can round a row differently depending on the
+        batch around it, and keying on its output keeps every result equal
+        to a fresh search of the same batch.
+        """
         cands = np.asarray(cands, dtype=float)
-        ci, cj = cands[:, :self.k], cands[:, self.k:]
+        k = self.k
+        ci, cj = cands[:, :k], cands[:, k:]
         matched = ci * cj
-        s1, p1 = self._best_power(self.dirs[0], *self._coeffs(ci, matched, self.dirs[0]))
-        s2, p2 = self._best_power(self.dirs[1], *self._coeffs(cj, matched, self.dirs[1]))
-        return s1 + s2, p1, p2
+        coeffs = (self._coeffs(ci, matched, 0), self._coeffs(cj, matched, 1))
+        keys = [_row_keys(c) for c in coeffs]
+        grid = self._memoised(self._grid_memo, keys, (0, 0), coeffs,
+                              lambda cols, todo: np.column_stack(self._grid_search(cols)))
+        out = [g[:, :2] for g in grid]
+        if self.params.power_refine:
+            iters = [self._refine_iters(g[:, 2], g[:, 3]) or None for g in grid]
+
+            def refine(cols, todo):
+                start = np.vstack([grid[which][at] for which, _, at in todo])
+                steps = np.concatenate([np.full(len(at), iters[which]) for which, _, at in todo])
+                return np.column_stack(self._golden(cols, *start.T, steps))
+
+            refined = self._memoised(self._refine_memo, keys, iters, coeffs, refine)
+            out = [o if r is None else r for o, r in zip(out, refined)]
+        return out[0][:, 0] + out[1][:, 0], out[0][:, 1], out[1][:, 1]
 
     def feasible_mask(self, cands: np.ndarray) -> np.ndarray:
         cands = np.asarray(cands, dtype=float)
@@ -298,13 +385,8 @@ class _PairContext:
     def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
         """Scalar (v_s, delay, stable) of one direction at a given power."""
         ci, cj = cands_row[:self.k].astype(float), cands_row[self.k:].astype(float)
-        matched = ci * cj
-        d = self.dirs[which]
-        sender = ci if which == 0 else cj
-        legit, leak, share, interp, interp_sq = self._coeffs(sender, matched, d)
-        rd, re = self._rates_at(d, np.asarray([power]))
-        _, v_s, delay, stable = self._compose(
-            d, legit, leak, share, interp, interp_sq, rd, re)
+        cols = self._coeffs(ci if which == 0 else cj, ci * cj, which)
+        _, v_s, delay, stable = self._compose(cols, *self._rates_at(cols, np.asarray([power])))
         return float(v_s[0]), float(delay[0]), bool(stable[0])
 
     def finalize(self, joint: np.ndarray, power_i: float, power_j: float) -> PairSolution:
@@ -455,22 +537,39 @@ def initial_kbc(scn: Scenario, i: int, j: int) -> tuple[CacheVector, CacheVector
     return CacheVector(i, bits.copy()), CacheVector(j, bits.copy())
 
 
+@functools.lru_cache(maxsize=16)
+def _flip_masks(length: int, sigma: int) -> np.ndarray:
+    """Read-only 0/1 masks of every flip set of size 1..sigma of ``length``
+    positions, in ``itertools.combinations`` order by increasing size."""
+    masks = np.zeros((sum(math.comb(length, d) for d in range(1, sigma + 1)), length),
+                     dtype=np.uint8)
+    flips = itertools.chain.from_iterable(
+        itertools.combinations(range(length), d) for d in range(1, sigma + 1))
+    for row, flip in zip(masks, flips):
+        row[list(flip)] = 1
+    masks.flags.writeable = False
+    return masks
+
+
+@functools.lru_cache(maxsize=8)
+def _joint_cache_table(num_kbs: int) -> np.ndarray:
+    """Read-only table of all 2^(2K) joint caches, in the row order of
+    ``itertools.product((0, 1), repeat=2K)`` (first column most significant)."""
+    width = 2 * num_kbs
+    codes = np.arange(1 << width)[:, None]
+    table = ((codes >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
 def neighborhood(
     current: np.ndarray, sigma: int, tabu: TabuState, scn: Scenario, i: int, j: int
 ) -> np.ndarray:
     """Feasible, non-tabu joint caches within Hamming distance 1..sigma of
     ``current``, in deterministic flip order.  May be empty."""
     current = np.asarray(current, dtype=np.uint8)
-    rows = []
-    for dist in range(1, sigma + 1):
-        for flips in itertools.combinations(range(len(current)), dist):
-            cand = current.copy()
-            cand[list(flips)] ^= 1
-            if cand not in tabu:
-                rows.append(cand)
-    if not rows:
-        return np.zeros((0, len(current)), dtype=np.uint8)
-    cands = np.vstack(rows)
+    cands = current ^ _flip_masks(len(current), sigma)
+    cands = cands[[key not in tabu._members for key in _row_keys(cands)]]
     k = scn.config.num_kbs
     sizes = scn.catalog.sizes.astype(float)
     keep = ((cands[:, :k].astype(float) @ sizes <= scn.config.capacity)
@@ -491,7 +590,7 @@ def enumerate_pair_optimum(
     if 2 * k > 16:
         raise ValueError("exhaustive search is limited to num_kbs <= 8")
     ctx = _PairContext(scn, i, j, tau, rho, params)
-    cands = np.array(list(itertools.product((0, 1), repeat=2 * k)), dtype=np.uint8)
+    cands = _joint_cache_table(k)
     cands = cands[ctx.feasible_mask(cands)]
     if cands.shape[0] == 0:
         raise InfeasiblePairError(

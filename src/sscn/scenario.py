@@ -240,15 +240,31 @@ def _draw_disk_points(rng: np.random.Generator, count: int, radius: float) -> np
 def _gains_and_neighbors(
     config: ScenarioConfig, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    # the path-loss law needs finite points and gives no finite gain at
+    # (or very near) distance 0, so such inputs are rejected here
     m = config.num_users
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if bad.size:
+        name = "eaves" if bad[0] == m else f"user_{bad[0]}"
+        raise ValueError(f"{name} position is not finite: {positions[bad[0]].tolist()}")
     users = positions[:m]
     deltas = users[:, None, :] - users[None, :, :]
     dist = np.hypot(deltas[..., 0], deltas[..., 1])
+    dist_e = np.hypot(*(users - positions[m]).T)
     gain_d = np.zeros((m, m))
     off = ~np.eye(m, dtype=bool)
-    gain_d[off] = 10.0 ** (-(34.0 + 40.0 * np.log10(dist[off])) / 10.0)
-    dist_e = np.hypot(*(users - positions[m]).T)
-    gain_e = 10.0 ** (-(34.0 + 40.0 * np.log10(dist_e)) / 10.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        gain_d[off] = 10.0 ** (-(34.0 + 40.0 * np.log10(dist[off])) / 10.0)
+        gain_e = 10.0 ** (-(34.0 + 40.0 * np.log10(dist_e)) / 10.0)
+    clash = np.argwhere(~np.isfinite(gain_d))
+    if clash.size:
+        i, j = clash[0]
+        raise ValueError(f"user_{i} and user_{j} are too close for the path-loss law "
+                         f"(distance {float(dist[i, j])!r} m)")
+    at_eaves = np.flatnonzero(~np.isfinite(gain_e))
+    if at_eaves.size:
+        raise ValueError(f"user_{at_eaves[0]} is too close to the eavesdropper for the "
+                         f"path-loss law (distance {float(dist_e[at_eaves[0]])!r} m)")
     snr_full = config.p_max_w * gain_d / config.noise_w
     eligible = (snr_full >= config.snr_threshold) & off
     neighbors = tuple(tuple(np.flatnonzero(eligible[i]).tolist()) for i in range(m))

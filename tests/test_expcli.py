@@ -11,7 +11,8 @@ from sscn.dual import SolverParams, run_solver
 from sscn.expcli import (AXIS_FIELDS, CSV_HEADER, ConfigError, ResultRow,
                          SweepSpec, _fmt, derive_trial_seeds, load_sweep_spec,
                          main, rows_to_csv, run_sweep, trial_metrics)
-from sscn.scenario import ScenarioConfig, generate_scenario
+from sscn.scenario import (ScenarioConfig, ScenarioFormatError, generate_scenario,
+                           load_scenario, save_scenario)
 
 FAST_SOLVER = ("[solver]\ndual_iters = 1\ntabu_iters = 3\n"
                "power_grid_points = 16\npower_refine = false\n")
@@ -204,9 +205,12 @@ def test_run_sweep_records_errors_instead_of_aborting():
     by_cell = {(r.scheme, r.variant_value): r for r in rows}
     ok = by_cell[("proposed", 0.5)]
     assert ok.errors == 0 and math.isfinite(ok.mean_sst)
+    assert ok.error_messages == ()
     broken = by_cell[("proposed", 1.0)]
     assert broken.errors == spec.trials
     assert math.isnan(broken.mean_sst)
+    assert [msg.split(":")[:2] for msg in broken.error_messages] == [
+        [f"trial {t}", " InfeasiblePairError"] for t in range(spec.trials)]
     # baselines never raise: they report shortfalls instead
     assert by_cell[("rpd", 1.0)].errors == 0
     assert by_cell[("mpk", 1.0)].errors == 0
@@ -293,6 +297,53 @@ def test_cli_sweep_writes_reproducible_csv(tmp_path):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3
     assert {ln.split(",")[0] for ln in lines[1:]} == {"proposed", "rpd", "mpk"}
+
+
+def test_cli_sweep_prints_trial_errors_and_keeps_csv(tmp_path, capsys):
+    # unit-size KBs, capacity 2: eta floor 1.0 needs all three -> infeasible
+    sweep_path = write(tmp_path, "sweep.ini",
+                       "[scenario]\nnum_users = 4\nnum_kbs = 3\ncell_radius_m = 40.0\n"
+                       "kb_size_min = 1\nkb_size_max = 1\ncapacity = 2\n"
+                       + FAST_SOLVER +
+                       "[sweep]\naxis = num_users\naxis_values = 4\n"
+                       "variant = eta_min\nvariant_values = 1.0\n"
+                       "schemes = proposed\ntrials = 1\nseed = 2\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", sweep_path, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith("sweep error: proposed num_users=4 eta_min=1.0 trial 0: "
+                             "InfeasiblePairError: ")
+    spec = load_sweep_spec(sweep_path)
+    assert out.read_text() == rows_to_csv(run_sweep(spec))
+    assert out.read_text().strip().split("\n")[1].endswith(",1")
+
+
+@pytest.mark.parametrize("edits,names", [
+    ({"user_2": "nan 0.0"}, "user_2 position is not finite"),
+    ({"user_3": "<user_1>"}, "user_1 and user_3 are too close"),
+    ({"user_0": "1e-300 0.0", "user_1": "2e-300 0.0"}, "user_0 and user_1 are too close"),
+    ({"eaves": "<user_0>"}, "user_0 is too close to the eavesdropper"),
+])
+def test_bad_positions_are_rejected_on_load(tmp_path, capsys, edits, names):
+    # the path-loss law has no finite gain at (or very near) distance 0
+    path = tmp_path / "scn.txt"
+    save_scenario(generate_scenario(ScenarioConfig(num_users=4, num_kbs=3,
+                                                   cell_radius_m=40.0)), str(path))
+    lines = path.read_text().split("\n")
+    first = lines.index("[positions]") + 1
+    section = lines[first:lines.index("", first)]
+    coords = dict(line.split(" = ") for line in section)
+    for key, value in edits.items():
+        if value.startswith("<"):
+            value = coords[value[1:-1]]
+        lines[first + list(coords).index(key)] = f"{key} = {value}"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ScenarioFormatError, match=names):
+        load_scenario(str(path))
+    assert main(["solve", "--scenario", str(path), "--iters", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and names in err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

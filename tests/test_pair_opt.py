@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import HAND, ZIPF3, assert_close, make_hand_pair, make_scenario
+from sscn.dual import SolverParams, run_solver
 from sscn.metrics import ETA_SLACK, CacheVector, pair_value_rates
 from sscn.pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
-                           TabuState, enumerate_pair_optimum,
+                           TabuState, _joint_cache_table, _PairContext,
+                           enumerate_pair_optimum,
                            greedy_single_cache, initial_kbc, neighborhood,
                            optimize_powers, pair_score, solve_pair_subproblem,
                            stable_power_upper_bound)
@@ -239,6 +241,33 @@ def test_neighborhood_feasibility_filter_matches_enumeration():
     assert len(got) < sum(math.comb(6, d) for d in (1, 2))  # filter bites
 
 
+def test_neighborhood_keeps_combination_order():
+    scn = make_scenario(user_ranks=[[1, 2, 3]] * 2, eaves_ranks=[1, 2, 3],
+                        sizes=[2, 1, 1], interp_rates=[[200.0] * 3] * 2,
+                        capacity=3, eta_min=0.25)
+    current = np.array([0, 1, 1, 0, 1, 1], dtype=np.uint8)
+    tabu = TabuState(8)
+    for flips in ((1,), (0, 4), (2, 5)):
+        cand = current.copy()
+        cand[list(flips)] ^= 1
+        tabu.add(cand)
+    got = neighborhood(current, 3, tabu, scn, 0, 1)
+    sizes = scn.catalog.sizes
+    probs = scn.catalog.user_probs
+    expect = []
+    for dist in (1, 2, 3):
+        for flips in itertools.combinations(range(6), dist):
+            cand = current.copy()
+            cand[list(flips)] ^= 1
+            ci, cj = cand[:3], cand[3:]
+            if (cand not in tabu and ci @ sizes <= 3 and cj @ sizes <= 3
+                    and ci @ probs[0] >= 0.25 - ETA_SLACK
+                    and cj @ probs[1] >= 0.25 - ETA_SLACK):
+                expect.append(cand)
+    assert got.dtype == np.uint8
+    assert got.tolist() == np.array(expect).tolist()
+
+
 def test_tabu_state_fifo_eviction():
     tabu = TabuState(2)
     a, b, c = (np.array(v, dtype=np.uint8)
@@ -251,6 +280,64 @@ def test_tabu_state_fifo_eviction():
     assert a not in tabu
     assert b in tabu and c in tabu
     assert len(tabu) == 2
+
+
+# ------------------------------------------------------ candidate evaluation
+
+def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
+    # The golden-section step count of a batch depends on its widest grid
+    # bracket, so one candidate may be refined differently in two batches.
+    # Repeated rows, repeated batches and overlapping batches must all score
+    # exactly as a context that has seen nothing else.
+    scn = _small_generated(seed=3, num_kbs=5)
+    tau = np.array([20.0, 5.0])
+    rho = np.array([0.5, 1.0])
+    params = PairOptParams()
+    cache_i, cache_j = initial_kbc(scn, 0, 1)
+    start = np.concatenate((cache_i.bits, cache_j.bits))
+    cands = neighborhood(start, 2, TabuState(8), scn, 0, 1)
+    assert cands.shape[0] >= 8
+    ctx = _PairContext(scn, 0, 1, tau, rho, params)
+    singles = [ctx.evaluate(row[None, :]) for row in cands]
+    batches = [np.vstack((cands, cands[:4], cands[::-1])),
+               cands[1::2], cands[::3], np.vstack((cands[:1], cands[:1]))]
+    for batch in batches + batches:
+        got = ctx.evaluate(batch)
+        want = _PairContext(scn, 0, 1, tau, rho, params).evaluate(batch)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    # premise: some candidate is refined differently alone and in a batch
+    full = _PairContext(scn, 0, 1, tau, rho, params).evaluate(cands)
+    assert any(single[1][0] != full[1][n] or single[2][0] != full[2][n]
+               for n, single in enumerate(singles))
+
+
+# run_solver outputs with the default SolverParams (apart from dual_iters=2)
+# on two small scenarios, recorded from the unmemoised per-direction power
+# search; every later evaluation scheme must reproduce them.
+SOLVER_FINGERPRINTS = [
+    (dict(num_users=6, num_kbs=5, cell_radius_m=100.0, rng_seed=11),
+     477.8951258389134,
+     [0.00013632358867825742, 0.010733645790248238, 0.00023641048432449473,
+      0.0011480559503825654, 0.00044101524441383586, 0.013382079704413005],
+     ["11000", "10100", "00011", "10111", "00011", "10100"]),
+    (dict(num_users=8, num_kbs=8, rng_seed=12),
+     715.3009873925189,
+     [0.0, 0.11460897103099191, 0.000798787643336314, 0.08756969563489489,
+      0.0, 0.014347839069267095, 0.014348280816444181, 0.0007686617082489045],
+     ["10000100", "00010110", "01100100", "00110100", "00010001", "00010010",
+      "10100010", "01000110"]),
+]
+
+
+@pytest.mark.parametrize("cfg,sst,powers,caches", SOLVER_FINGERPRINTS)
+def test_solver_fingerprint_default_knobs(cfg, sst, powers, caches):
+    res = run_solver(generate_scenario(ScenarioConfig(**cfg)), SolverParams(dual_iters=2))
+    assert_close(res.sst, sst, rel=1e-12)
+    assert len(res.powers) == len(powers)
+    for got, want in zip(res.powers, powers):
+        assert_close(float(got), want, rel=1e-12)
+    assert ["".join(map(str, c.bits.tolist())) for c in res.caches] == caches
 
 
 # ---------------------------------------------------------- full subproblem
@@ -315,6 +402,16 @@ def test_exhaustive_param_equals_enumerator():
     assert via_param.cache_j == direct.cache_j
     assert via_param.score == direct.score
     assert via_param.power_i == direct.power_i
+
+
+@pytest.mark.parametrize("num_kbs", [1, 3])
+def test_joint_cache_table_is_product_order_and_read_only(num_kbs):
+    table = _joint_cache_table(num_kbs)
+    expect = list(itertools.product((0, 1), repeat=2 * num_kbs))
+    assert table.dtype == np.uint8
+    assert [tuple(row) for row in table.tolist()] == expect
+    assert not table.flags.writeable
+    assert _joint_cache_table(num_kbs) is table
 
 
 def test_enumerator_rejects_large_catalogs():
