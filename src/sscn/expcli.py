@@ -328,7 +328,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_input_scenario(args) -> Scenario:
     if getattr(args, "scenario", None):
-        return load_scenario(args.scenario)
+        try:
+            return load_scenario(args.scenario)
+        except OSError as exc:
+            raise ScenarioFormatError(f"cannot read scenario {args.scenario}: {exc}") from exc
     if getattr(args, "config", None):
         cfg = _scenario_config(_read_ini(args.config), args.config)
         if args.seed is not None:

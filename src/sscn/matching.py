@@ -5,8 +5,8 @@ stage selects disjoint pairs maximizing the summed score, with at most one
 partner per user (users may stay unpaired).  ``greedy`` mode is the
 greedy rounding that repeatedly fixes the best-scoring remaining pair; it
 carries the classic 1/2-approximation guarantee of greedy matching.
-``exact`` mode enumerates all matchings and exists purely as a desk-scale
-oracle (12 users or fewer).
+``exact`` mode is a memoised DP over subsets of free users (<= 12 users)
+and exists purely as a desk-scale oracle.
 
 Pairs whose score is not strictly positive are never selected: they cannot
 improve the objective, and leaving their users unpaired is reported
@@ -15,6 +15,7 @@ explicitly downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -131,28 +132,40 @@ def _exact_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
     m = omega.num_users
     if m > EXACT_MODE_MAX_USERS:
         raise ValueError(
-            f"exact matching enumerates all matchings; limited to {EXACT_MODE_MAX_USERS} users")
-    scores = omega.scores
-    free = [True] * m
+            "exact matching is a memoised DP over subsets of free users; "
+            f"limited to {EXACT_MODE_MAX_USERS} users")
+    scores = omega.scores.tolist()
+    partners = [[(v, scores[u][v]) for v in range(u + 1, m) if scores[u][v] > 0.0]
+                for u in range(m)]
 
-    def dfs(start: int) -> tuple[float, list[tuple[int, int]]]:
-        u = start
-        while u < m and not free[u]:
-            u += 1
-        if u >= m:
-            return 0.0, []
-        best_w, best_p = dfs(u + 1)  # leave u unpaired
-        for v in range(u + 1, m):
-            if free[v] and scores[u, v] > 0.0:
-                free[v] = False
-                w, p = dfs(u + 1)
-                free[v] = True
-                w += scores[u, v]
+    @functools.lru_cache(maxsize=None)
+    def best(free: int) -> tuple[float, int]:
+        """Best weight over the users in bitmask ``free`` and the partner of
+        its lowest user (UNPAIRED if it stays alone).  That user is left
+        unpaired first, then offered partners in ascending order; only a
+        strictly heavier matching replaces the incumbent."""
+        if not free:
+            return 0.0, UNPAIRED
+        u = (free & -free).bit_length() - 1
+        rest = free ^ (1 << u)
+        best_w, best_v = best(rest)[0], UNPAIRED
+        for v, score in partners[u]:
+            if rest >> v & 1:
+                w = best(rest ^ (1 << v))[0] + score
                 if w > best_w:
-                    best_w, best_p = w, [(u, v)] + p
-        return best_w, best_p
+                    best_w, best_v = w, v
+        return best_w, best_v
 
-    return dfs(0)[1]
+    pairs = []
+    free = (1 << m) - 1
+    while free:
+        u = (free & -free).bit_length() - 1
+        v = best(free)[1]
+        free ^= 1 << u
+        if v != UNPAIRED:
+            pairs.append((u, v))
+            free ^= 1 << v
+    return pairs
 
 
 def solve_dup(omega: OmegaMatrix, mode: str = "greedy") -> Pairing:
@@ -160,7 +173,7 @@ def solve_dup(omega: OmegaMatrix, mode: str = "greedy") -> Pairing:
 
     Only strictly positive scores are ever matched.  ``greedy`` is the
     greedy max-first rounding with lexicographic tie-breaks; ``exact`` is the
-    brute-force oracle for small instances.
+    oracle, a memoised DP over subsets of free users (<= 12 users).
     """
     if mode == "greedy":
         pairs = _greedy_matching(omega)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +148,25 @@ class _Direction:
     rho_s: float
 
 
+class _SearchMemo:
+    """Search results of one direction at one step count: ``slot_of`` maps a
+    coefficient key to its row of the ``rows`` array."""
+
+    def __init__(self) -> None:
+        self.slot_of: dict[bytes, int] = {}
+        self.rows: np.ndarray | None = None
+
+    def add(self, keys: list[bytes], rows: np.ndarray) -> None:
+        start = len(self.slot_of)
+        self.slot_of.update(zip(keys, range(start, start + len(keys))))
+        self.rows = rows if self.rows is None else np.concatenate((self.rows, rows))
+
+    def gather(self, keys: list[bytes]) -> np.ndarray:
+        slots = np.fromiter(map(self.slot_of.__getitem__, keys), dtype=np.intp,
+                            count=len(keys))
+        return self.rows[slots]
+
+
 class _PairContext:
     """Precomputed constants for vectorized candidate evaluation of one pair."""
 
@@ -174,10 +193,10 @@ class _PairContext:
             self._make_direction(j, i, tau, rho),
         )
         self._scalars = [np.array([d.gain_d, d.gain_e, d.tau_s, d.rho_s]) for d in self.dirs]
-        # per direction: (coefficient key, 0) -> grid (score, power, lo, hi)
-        # and (coefficient key, golden-section steps) -> refined (score, power)
-        self._grid_memo: tuple[dict, dict] = ({}, {})
-        self._refine_memo: tuple[dict, dict] = ({}, {})
+        # per direction and step count (0 for the grid), a _SearchMemo of grid
+        # (score, power, lo, hi) or golden-section refined (score, power) rows
+        self._grid_memo = (defaultdict(_SearchMemo), defaultdict(_SearchMemo))
+        self._refine_memo = (defaultdict(_SearchMemo), defaultdict(_SearchMemo))
 
     def _make_direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray) -> _Direction:
         cat = self.scn.catalog
@@ -308,32 +327,32 @@ class _PairContext:
     def _memoised(self, memo, keys, steps, coeffs, search):
         """Per-direction results of ``search`` for every candidate.
 
-        ``memo[which]`` maps (coefficient key, ``steps[which]``) to a result
-        row; a direction whose ``steps`` entry is None is skipped.  The rows
-        missing from both directions are searched together in one call,
-        ``search(cols, todo)``, where ``cols`` holds their search inputs as
-        columns and ``todo`` lists (which, keys, batch row indices) per
-        direction in column order.
+        ``memo[which][steps[which]]`` is a _SearchMemo of that direction's
+        results at that step count; a direction whose ``steps`` entry is None
+        is skipped.  The rows missing from both directions are searched
+        together in one call, ``search(cols, todo)``, where ``cols`` holds
+        their search inputs as columns and ``todo`` lists (which, keys, batch
+        row indices) per direction in column order.
         """
+        tables = [None if steps[which] is None else memo[which][steps[which]]
+                  for which in (0, 1)]
         todo = []
-        for which in (0, 1):
-            if steps[which] is None:
+        for which, table in enumerate(tables):
+            if table is None:
                 continue
             row_of = dict(zip(keys[which], range(len(keys[which]))))  # one row per key
-            fresh = [key for key in row_of if (key, steps[which]) not in memo[which]]
+            fresh = [key for key in row_of if key not in table.slot_of]
             if fresh:
                 todo.append((which, fresh, [row_of[key] for key in fresh]))
         if todo:
             cols = np.vstack([coeffs[which][at] for which, _, at in todo]).T
-            found = search(cols, todo).tolist()
+            found = search(cols, todo)
             n = 0
             for which, fresh, _ in todo:
-                memo[which].update(((key, steps[which]), res)
-                                   for key, res in zip(fresh, found[n:]))
+                tables[which].add(fresh, found[n:n + len(fresh)])
                 n += len(fresh)
-        return [None if steps[which] is None
-                else np.array([memo[which][(key, steps[which])] for key in keys[which]])
-                for which in (0, 1)]
+        return [None if table is None else table.gather(keys[which])
+                for which, table in enumerate(tables)]
 
     def evaluate(self, cands: np.ndarray):
         """Scores and per-direction optimized powers for (n, 2K) candidates.

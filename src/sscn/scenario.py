@@ -206,6 +206,8 @@ class Scenario:
         m = self.config.num_users
         if self.positions.shape != (m + 1, 2):
             raise ValueError("positions must be (num_users + 1, 2)")
+        if not (np.isfinite(self.gain_d).all() and np.isfinite(self.gain_e).all()):
+            raise ValueError("channel gains must be finite")
         if self.gain_d.shape != (m, m) or not np.allclose(self.gain_d, self.gain_d.T):
             raise ValueError("gain_d must be a symmetric (M, M) matrix")
         if np.any(np.diag(self.gain_d) != 0.0):

@@ -264,6 +264,36 @@ def test_solver_deterministic_and_thread_invariant():
     assert np.array_equal(serial.powers, threaded.powers)
 
 
+# run_solver on the certified oracle path (exhaustive pair enumeration plus
+# exact matching), recorded from the per-row tuple-keyed power memo and the
+# recursive exact-matching search; every later scheme must reproduce it.
+CERTIFIED_FINGERPRINT = dict(
+    sst=709.9323856905072,
+    powers=[0.0003686128157943188, 0.006158651156004319, 0.010855349866310334,
+            0.0001057206263759782, 0.006158651156004319, 0.0002339235936982221,
+            0.010855349866310334, 0.0001057206263759782],
+    partner=[5, 4, 6, 7, 1, 0, 2, 3],
+    dual_values=[1070.7979644037732, 814.6725209881868, 715.2025235720669],
+)
+
+
+def test_solver_fingerprint_certified_oracle_path():
+    scn = generate_scenario(ScenarioConfig(num_users=8, num_kbs=5,
+                                           cell_radius_m=100.0, rng_seed=5))
+    params = SolverParams(dual_iters=3, matching_mode="exact", pair=PairOptParams(
+        exhaustive=True, power_grid_points=32, power_refine=False))
+    res = run_solver(scn, params)
+    want = CERTIFIED_FINGERPRINT
+    assert_close(res.sst, want["sst"], rel=1e-12)
+    assert len(res.powers) == len(want["powers"])
+    for got, p in zip(res.powers, want["powers"]):
+        assert_close(float(got), p, rel=1e-12, abs_tol=0.0)
+    assert res.pairing.partner.tolist() == want["partner"]
+    assert len(res.trace) == len(want["dual_values"])
+    for rec, d in zip(res.trace, want["dual_values"]):
+        assert_close(rec.dual_value, d, rel=1e-12)
+
+
 def test_solver_warm_start_stays_deterministic():
     cfg = ScenarioConfig(num_users=6, num_kbs=4, cell_radius_m=60.0, rng_seed=13)
     scn = generate_scenario(cfg)

@@ -346,6 +346,16 @@ def test_bad_positions_are_rejected_on_load(tmp_path, capsys, edits, names):
     assert err.count("\n") == 1 and names in err
 
 
+def test_cli_missing_scenario_file_is_a_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    for argv in (["solve", "--scenario", missing, "--iters", "1"],
+                 ["baseline", "--scenario", missing, "--kind", "rpd"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: cannot read scenario") and missing in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 3: unreadable / unparseable / invalid arguments
     assert main(["gen", "--config", str(tmp_path / "missing.ini")]) == 3

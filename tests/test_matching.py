@@ -195,3 +195,59 @@ def test_modes_are_deterministic():
         first = solve_dup(omega, mode).partner.tolist()
         again = solve_dup(omega, mode).partner.tolist()
         assert first == again
+
+
+def _reference_exact_pairs(scores: np.ndarray) -> list[tuple[int, int]]:
+    """The recursive search exact mode used before its memoised form: users
+    in index order, "leave unpaired" first, partners ascending, strict
+    improvement only.  Kept as the tie-breaking reference."""
+    m = scores.shape[0]
+    free = [True] * m
+
+    def dfs(start: int):
+        u = start
+        while u < m and not free[u]:
+            u += 1
+        if u >= m:
+            return 0.0, []
+        best_w, best_p = dfs(u + 1)
+        for v in range(u + 1, m):
+            if free[v] and scores[u, v] > 0.0:
+                free[v] = False
+                w, p = dfs(u + 1)
+                free[v] = True
+                w += scores[u, v]
+                if w > best_w:
+                    best_w, best_p = w, [(u, v)] + p
+        return best_w, best_p
+
+    return dfs(0)[1]
+
+
+def _random_score_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Symmetric scores mixing positive, negative and -inf cells.  Every
+    other matrix takes small integers, so many matchings tie exactly; the
+    rest copy some cells onto others to plant repeated float weights."""
+    if n % 2 == 0:
+        upper = rng.integers(-2, 4, size=(m, m)).astype(float)
+    else:
+        upper = rng.random((m, m)) * 10.0 - 2.0
+        cells = rng.integers(0, m, size=(m, 2, 2))
+        for (a, b), (c, d) in cells:
+            upper[c, d] = upper[a, b]
+    upper[rng.random((m, m)) < 0.25] = -math.inf
+    mat = np.triu(upper, k=1)
+    mat = mat + mat.T
+    np.fill_diagonal(mat, -math.inf)
+    return mat
+
+
+def test_exact_mode_equals_reference_search_including_ties():
+    rng = np.random.default_rng(2024)
+    sizes = [int(rng.integers(1, EXACT_MODE_MAX_USERS + 1)) for _ in range(46)]
+    sizes += [EXACT_MODE_MAX_USERS] * 4
+    for n, m in enumerate(sizes):
+        mat = _random_score_matrix(rng, m, n)
+        want = Pairing.from_pairs(m, _reference_exact_pairs(mat)).partner
+        got = solve_dup(omega_from_matrix(mat), "exact").partner
+        assert got.tolist() == want.tolist(), (n, m)

@@ -312,6 +312,34 @@ def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
                for n, single in enumerate(singles))
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_evaluate_full_table_memo_hits_match_fresh_context(refine, monkeypatch):
+    # All 4096 joint caches of a 6-KB pair form one batch, as in exhaustive
+    # enumeration.  Many rows share a direction's coefficients, and a second
+    # evaluation on the same context must be answered from the memo alone.
+    scn = _small_generated(seed=5, num_kbs=6)
+    tau = np.array([3.0, 40.0])
+    rho = np.array([0.25, 2.0])
+    params = PairOptParams(power_grid_points=32, power_refine=refine)
+    table = _joint_cache_table(6)
+    assert table.shape[0] == 4096
+    ci, cj = table[:, :6], table[:, 6:]
+    assert len({(a.tobytes(), (a & b).tobytes()) for a, b in zip(ci, cj)}) < 4096
+    ctx = _PairContext(scn, 0, 1, tau, rho, params)
+    first = ctx.evaluate(table)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a repeated batch must not be searched again")
+
+    monkeypatch.setattr(ctx, "_grid_search", no_search)
+    monkeypatch.setattr(ctx, "_golden", no_search)
+    second = ctx.evaluate(table)
+    fresh = _PairContext(scn, 0, 1, tau, rho, params).evaluate(table)
+    for a, b, c in zip(first, second, fresh):
+        assert np.array_equal(a, c)
+        assert np.array_equal(b, c)
+
+
 # run_solver outputs with the default SolverParams (apart from dual_iters=2)
 # on two small scenarios, recorded from the unmemoised per-direction power
 # search; every later evaluation scheme must reproduce them.

@@ -1,5 +1,6 @@
 """Scenario generation, channel model, Zipf popularity, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -238,3 +239,16 @@ def test_config_from_mapping_round_trip():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["gain_d", "gain_e"])
+def test_scenario_rejects_non_finite_gains(generated, field, bad):
+    _, scn = generated
+    gains = getattr(scn, field).copy()
+    if field == "gain_d":
+        gains[0, 1] = gains[1, 0] = bad
+    else:
+        gains[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(scn, **{field: gains})
