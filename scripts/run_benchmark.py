@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         solver=solver,
     )
     rows = run_sweep(spec, threads=args.threads)
-    args.out.write_text(rows_to_csv(rows) + "\n")
+    args.out.write_text(rows_to_csv(rows))
 
     print(f"{'scheme':>8} {'users':>5} {'per-link SST':>14} {'per-link delay':>15} {'errors':>6}")
     for row in rows:

@@ -5,43 +5,6 @@ knowledge-base caching, D2D user pairing, and transmit power through
 Lagrangian dual decomposition, with benchmark schemes and an experiment CLI.
 """
 
-from .baselines import BaselineKind, preference_first_kbc, run_baseline
-from .dual import (DualState, FeasibilityReport, IterationRecord, SolveResult,
-                   SolverParams, delivered_sst, lagrangian_value, measure_pair,
-                   run_solver, update_duals)
-from .matching import (UNPAIRED, OmegaMatrix, Pairing, build_omega,
-                       matching_weight, solve_dup)
-from .metrics import (CacheVector, PairValueRates, link_rates, network_sst,
-                      pair_value_rates, satisfaction, semantic_weights)
-from .pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
-                       TabuState, enumerate_pair_optimum, initial_kbc,
-                       neighborhood, optimize_powers, pair_score,
-                       solve_pair_subproblem, stable_power_upper_bound)
-from .queueing import (QueueStats, UnstableQueueError, pk_delay, queue_stats,
-                       simulate_mg1)
-from .scenario import (KbCatalog, Scenario, ScenarioConfig,
-                       ScenarioFormatError, ScenarioGenerationError,
-                       channel_gain_from_distance, dbm_to_watts,
-                       generate_scenario, load_scenario, save_scenario,
-                       with_p_max, zipf_probabilities)
-
-__all__ = [
-    "BaselineKind", "CacheVector", "DualState", "FeasibilityReport",
-    "InfeasiblePairError", "IterationRecord", "KbCatalog", "OmegaMatrix",
-    "PairOptParams", "PairSolution", "PairValueRates", "Pairing",
-    "QueueStats", "Scenario", "ScenarioConfig", "ScenarioFormatError",
-    "ScenarioGenerationError", "SolveResult", "SolverParams", "TabuState",
-    "UNPAIRED", "UnstableQueueError", "build_omega",
-    "channel_gain_from_distance", "dbm_to_watts", "delivered_sst",
-    "enumerate_pair_optimum", "generate_scenario", "initial_kbc",
-    "lagrangian_value", "link_rates", "load_scenario", "matching_weight",
-    "measure_pair", "neighborhood", "network_sst",
-    "optimize_powers", "pair_score", "pair_value_rates",
-    "preference_first_kbc", "pk_delay", "queue_stats", "run_baseline",
-    "run_solver", "satisfaction", "save_scenario", "semantic_weights",
-    "simulate_mg1", "solve_dup", "solve_pair_subproblem",
-    "stable_power_upper_bound", "update_duals", "with_p_max",
-    "zipf_probabilities",
-]
+from . import baselines, dual, matching, metrics, pair_opt, queueing, scenario
 
 __version__ = "0.1.0"

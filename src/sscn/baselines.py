@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual import (IterateSnapshot, SolveResult, audit_assignment,
                    delivered_sst, measure_pair)
-from .matching import Pairing
+from .matching import Pairing, greedy_walk
 from .metrics import CacheVector, satisfaction
 from .pair_opt import greedy_single_cache
 from .scenario import Scenario
@@ -57,17 +57,6 @@ def preference_first_kbc(scn: Scenario, seed: int) -> list[CacheVector]:
     return _preference_first(scn, np.random.default_rng(seed))[0]
 
 
-def _greedy_pairing(scn: Scenario, sort_key) -> Pairing:
-    cells = sorted(scn.eligible_pairs(), key=sort_key)
-    free = np.ones(scn.num_users, dtype=bool)
-    chosen = []
-    for i, j in cells:
-        if free[i] and free[j]:
-            free[i] = free[j] = False
-            chosen.append((i, j))
-    return Pairing.from_pairs(scn.num_users, chosen)
-
-
 def run_baseline(scn: Scenario, kind: BaselineKind | str, seed: int) -> SolveResult:
     """Evaluate one baseline scheme on a scenario.
 
@@ -81,13 +70,14 @@ def run_baseline(scn: Scenario, kind: BaselineKind | str, seed: int) -> SolveRes
     if kind is BaselineKind.RPD:
         # 1 - U lands in (0, 1], keeping zero power out of the draw
         powers = cfg.p_max_w * (1.0 - rng.random(scn.num_users))
-        pairing = _greedy_pairing(
-            scn, lambda ij: (scn.distance(ij[0], ij[1]), ij[0], ij[1]))
+        cells = sorted(scn.eligible_pairs(),
+                       key=lambda ij: (scn.distance(ij[0], ij[1]), ij[0], ij[1]))
     else:
         powers = np.full(scn.num_users, cfg.p_max_w)
-        pairing = _greedy_pairing(
-            scn, lambda ij: (-int(caches[ij[0]].bits @ caches[ij[1]].bits),
-                             scn.distance(ij[0], ij[1]), ij[0], ij[1]))
+        cells = sorted(scn.eligible_pairs(),
+                       key=lambda ij: (-int(caches[ij[0]].bits @ caches[ij[1]].bits),
+                                       scn.distance(ij[0], ij[1]), ij[0], ij[1]))
+    pairing = Pairing.from_pairs(scn.num_users, greedy_walk(scn.num_users, cells))
     reports = {(i, j): measure_pair(scn, i, j, caches, powers)
                for i, j in pairing.matched_pairs()}
     sst = delivered_sst(reports)

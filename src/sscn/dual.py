@@ -13,7 +13,6 @@ families (when one exists).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +43,6 @@ class SolverParams:
     tau_init: float = 1.0
     rho_init: float = 1.0
     warm_start: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.dual_iters < 1:
@@ -53,8 +51,6 @@ class SolverParams:
             raise ValueError("step sizes must be nonnegative")
         if self.tau_init < 0 or self.rho_init < 0:
             raise ValueError("initial duals must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -223,6 +219,20 @@ def measure_pair(scn: Scenario, i: int, j: int, caches, powers) -> PairReport:
                       delay_ij=vals[(i, j)][1], delay_ji=vals[(j, i)][1])
 
 
+def _per_user_sums(
+    num_users: int, pair_reports: dict[tuple[int, int], PairReport]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's matched outgoing (delay, secrecy value); zero when unpaired."""
+    delay_sums = np.zeros(num_users)
+    value_sums = np.zeros(num_users)
+    for (i, j), rep in pair_reports.items():
+        delay_sums[i] += rep.delay_ij
+        delay_sums[j] += rep.delay_ji
+        value_sums[i] += rep.secrecy_ij
+        value_sums[j] += rep.secrecy_ji
+    return delay_sums, value_sums
+
+
 def delivered_sst(pair_reports: dict[tuple[int, int], PairReport]) -> float:
     """Network SST of an assignment as the sum of delivered directed values."""
     return float(sum(rep.secrecy_ij + rep.secrecy_ji for rep in pair_reports.values()))
@@ -249,13 +259,7 @@ def audit_assignment(
         pairing_ok = True
     except ValueError:
         pairing_ok = False
-    delay_sums = np.zeros(scn.num_users)
-    value_sums = np.zeros(scn.num_users)
-    for (i, j), rep in pair_reports.items():
-        delay_sums[i] += rep.delay_ij
-        delay_sums[j] += rep.delay_ji
-        value_sums[i] += rep.secrecy_ij
-        value_sums[j] += rep.secrecy_ji
+    delay_sums, value_sums = _per_user_sums(scn.num_users, pair_reports)
     delay_violations = {
         int(i): float(delay_sums[i] - cfg.delay_max_s)
         for i in range(scn.num_users) if delay_sums[i] > cfg.delay_max_s
@@ -326,22 +330,14 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
 
     for t in range(1, params.dual_iters + 1):
         failures: dict[tuple[int, int], str] = {}
-
-        def solve_one(pair: tuple[int, int]):
-            i, j = pair
+        solutions: dict[tuple[int, int], PairSolution] = {}
+        for i, j in pairs:
             try:
-                return solve_pair_subproblem(scn, i, j, state.tau, state.rho,
-                                             params.pair, initial=warm.get(pair))
+                solutions[(i, j)] = solve_pair_subproblem(
+                    scn, i, j, state.tau, state.rho, params.pair, initial=warm.get((i, j)))
             except InfeasiblePairError as exc:
-                failures[pair] = str(exc)
-                return PairSolution.infeasible_pair(i, j, cfg.num_kbs)
-
-        if params.threads > 1:
-            with ThreadPoolExecutor(max_workers=params.threads) as pool:
-                sols = list(pool.map(solve_one, pairs))
-        else:
-            sols = [solve_one(p) for p in pairs]
-        solutions = dict(zip(pairs, sols))
+                failures[(i, j)] = str(exc)
+                solutions[(i, j)] = PairSolution.infeasible_pair(i, j, cfg.num_kbs)
         if params.warm_start:
             for pair, sol in solutions.items():
                 if sol.feasible:
@@ -354,14 +350,7 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
         pairing = solve_dup(omega, params.matching_mode)
         caches, powers, reports, shortfalls = _assemble(scn, omega.solutions, pairing)
         sst = delivered_sst(reports)
-
-        delay_sums = np.zeros(m)
-        value_sums = np.zeros(m)
-        for (i, j), rep in reports.items():
-            delay_sums[i] += rep.delay_ij
-            delay_sums[j] += rep.delay_ji
-            value_sums[i] += rep.secrecy_ij
-            value_sums[j] += rep.secrecy_ji
+        delay_sums, value_sums = _per_user_sums(m, reports)
         inner_value = float(sum(omega.scores[i, j] for i, j in pairing.matched_pairs()))
         dual_value = (inner_value + cfg.delay_max_s * float(np.sum(state.tau))
                       - cfg.sst_min * float(np.sum(state.rho)))

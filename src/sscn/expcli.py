@@ -168,6 +168,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     Deterministic regardless of ``threads``: results are assembled in task
     order and every trial's RNG seeds derive from the spec alone.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     groups = [(a, v, s) for a in spec.axis_values
               for v in spec.variant_values for s in spec.schemes]
     tasks = [(idx, spec, a, v, s, trial)
@@ -238,7 +240,7 @@ def _scenario_config(parser: configparser.ConfigParser, path: str) -> ScenarioCo
 _SOLVER_KEYS = {
     "dual_iters": int, "matching_mode": str, "step_delay0": float,
     "step_value0": float, "tau_init": float, "rho_init": float,
-    "warm_start": bool, "threads": int,
+    "warm_start": bool,
 }
 _PAIR_KEYS = {
     "sigma": int, "tabu_iters": int, "tabu_len": int, "growth_eps": float,
@@ -387,8 +389,6 @@ def _cmd_solve(args) -> int:
         params = replace(params, dual_iters=args.iters)
     if args.mode is not None:
         params = replace(params, matching_mode=args.mode)
-    if args.threads != 1:
-        params = replace(params, threads=args.threads)
     res = run_solver(scn, params)
     if args.trace:
         for rec in res.trace:
@@ -439,7 +439,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--iters", type=int, default=None, help="override dual iterations")
     solve.add_argument("--mode", choices=("greedy", "exact"), default=None,
                        help="pairing mode (exact is a small-instance oracle)")
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--trace", action="store_true", help="print per-iteration trace to stderr")
     solve.add_argument("--out", default=None, help="JSON result path (default stdout)")
     solve.set_defaults(func=_cmd_solve)

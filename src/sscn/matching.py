@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,19 +113,25 @@ def build_omega(
     return OmegaMatrix(scores=scores, solutions=solutions, failed=tuple(failed))
 
 
-def _greedy_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
-    m = omega.num_users
-    cells = [(i, j) for i in range(m) for j in range(i + 1, m)
-             if omega.scores[i, j] > 0.0]
-    # static descending sort == repeatedly taking the max remaining pair
-    cells.sort(key=lambda ij: (-omega.scores[ij[0], ij[1]], ij[0], ij[1]))
-    free = np.ones(m, dtype=bool)
+def greedy_walk(num_users: int, cells: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Pairs taken by walking ``cells`` in order and keeping each cell whose
+    two users are both still free."""
+    free = np.ones(num_users, dtype=bool)
     chosen = []
     for i, j in cells:
         if free[i] and free[j]:
             free[i] = free[j] = False
             chosen.append((i, j))
     return chosen
+
+
+def _greedy_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
+    m = omega.num_users
+    cells = [(i, j) for i in range(m) for j in range(i + 1, m)
+             if omega.scores[i, j] > 0.0]
+    # static descending sort == repeatedly taking the max remaining pair
+    cells.sort(key=lambda ij: (-omega.scores[ij[0], ij[1]], ij[0], ij[1]))
+    return greedy_walk(m, cells)
 
 
 def _exact_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:

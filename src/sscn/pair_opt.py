@@ -173,7 +173,6 @@ class _PairContext:
     def __init__(self, scn: Scenario, i: int, j: int,
                  tau: np.ndarray, rho: np.ndarray, params: PairOptParams) -> None:
         cfg = scn.config
-        cat = scn.catalog
         self.scn = scn
         self.i, self.j = i, j
         self.params = params
@@ -182,11 +181,6 @@ class _PairContext:
         self.noise = cfg.noise_w
         self.bits_per_packet = cfg.packet_bits
         self.p_max = cfg.p_max_w
-        self.sizes = cat.sizes.astype(float)
-        self.capacity = float(cfg.capacity)
-        self.eta_min = cfg.eta_min
-        self.probs_i = cat.user_probs[i]
-        self.probs_j = cat.user_probs[j]
         self.unit_grid = np.linspace(0.0, 1.0, params.power_grid_points)
         self.dirs = (
             self._make_direction(i, j, tau, rho),
@@ -393,14 +387,6 @@ class _PairContext:
             out = [o if r is None else r for o, r in zip(out, refined)]
         return out[0][:, 0] + out[1][:, 0], out[0][:, 1], out[1][:, 1]
 
-    def feasible_mask(self, cands: np.ndarray) -> np.ndarray:
-        cands = np.asarray(cands, dtype=float)
-        ci, cj = cands[:, :self.k], cands[:, self.k:]
-        return ((ci @ self.sizes <= self.capacity)
-                & (cj @ self.sizes <= self.capacity)
-                & (ci @ self.probs_i >= self.eta_min - ETA_SLACK)
-                & (cj @ self.probs_j >= self.eta_min - ETA_SLACK))
-
     def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
         """Scalar (v_s, delay, stable) of one direction at a given power."""
         ci, cj = cands_row[:self.k].astype(float), cands_row[self.k:].astype(float)
@@ -581,6 +567,18 @@ def _joint_cache_table(num_kbs: int) -> np.ndarray:
     return table
 
 
+def _feasible(cands: np.ndarray, scn: Scenario, i: int, j: int) -> np.ndarray:
+    """Mask of the (n, 2K) joint caches whose halves both fit the capacity and
+    reach eta_min for user i (first half) and user j (second half)."""
+    cfg, cat = scn.config, scn.catalog
+    cands = np.asarray(cands, dtype=float)
+    ci, cj = cands[:, :cfg.num_kbs], cands[:, cfg.num_kbs:]
+    sizes = cat.sizes.astype(float)
+    eta_floor = cfg.eta_min - ETA_SLACK
+    return ((ci @ sizes <= cfg.capacity) & (cj @ sizes <= cfg.capacity)
+            & (ci @ cat.user_probs[i] >= eta_floor) & (cj @ cat.user_probs[j] >= eta_floor))
+
+
 def neighborhood(
     current: np.ndarray, sigma: int, tabu: TabuState, scn: Scenario, i: int, j: int
 ) -> np.ndarray:
@@ -589,13 +587,7 @@ def neighborhood(
     current = np.asarray(current, dtype=np.uint8)
     cands = current ^ _flip_masks(len(current), sigma)
     cands = cands[[key not in tabu._members for key in _row_keys(cands)]]
-    k = scn.config.num_kbs
-    sizes = scn.catalog.sizes.astype(float)
-    keep = ((cands[:, :k].astype(float) @ sizes <= scn.config.capacity)
-            & (cands[:, k:].astype(float) @ sizes <= scn.config.capacity)
-            & (cands[:, :k] @ scn.catalog.user_probs[i] >= scn.config.eta_min - ETA_SLACK)
-            & (cands[:, k:] @ scn.catalog.user_probs[j] >= scn.config.eta_min - ETA_SLACK))
-    return cands[keep]
+    return cands[_feasible(cands, scn, i, j)]
 
 
 def enumerate_pair_optimum(
@@ -608,12 +600,12 @@ def enumerate_pair_optimum(
     k = scn.config.num_kbs
     if 2 * k > 16:
         raise ValueError("exhaustive search is limited to num_kbs <= 8")
-    ctx = _PairContext(scn, i, j, tau, rho, params)
     cands = _joint_cache_table(k)
-    cands = cands[ctx.feasible_mask(cands)]
+    cands = cands[_feasible(cands, scn, i, j)]
     if cands.shape[0] == 0:
         raise InfeasiblePairError(
             f"pair ({i}, {j}) has no feasible joint cache for eta_min={scn.config.eta_min}")
+    ctx = _PairContext(scn, i, j, tau, rho, params)
     scores, p_i, p_j = ctx.evaluate(cands)
     idx = int(np.argmax(scores))
     return ctx.finalize(cands[idx], float(p_i[idx]), float(p_j[idx]))

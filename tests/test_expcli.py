@@ -195,6 +195,12 @@ def test_run_sweep_thread_count_does_not_change_results():
         run_sweep(spec, threads=2))
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_sweep_rejects_worker_counts_below_one(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_sweep(_tiny_spec(), threads=threads)
+
+
 def test_run_sweep_records_errors_instead_of_aborting():
     # unit-size KBs, capacity 2: eta floor 1.0 needs all three -> infeasible
     spec = _tiny_spec(variant="eta_min", variant_values=(0.5, 1.0),
@@ -354,6 +360,26 @@ def test_cli_missing_scenario_file_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("config error: cannot read scenario") and missing in err
+
+
+def test_cli_rejects_solver_threads_and_bad_sweep_workers(tmp_path, capsys):
+    cfg_path = write(tmp_path, "cfg.ini", SCENARIO_4 + FAST_SOLVER)
+    threads_key = write(tmp_path, "threads.ini", SCENARIO_4 + "[solver]\nthreads = 2\n")
+    sweep_path = write(tmp_path, "sweep.ini", SCENARIO_4 + FAST_SOLVER +
+                       "[sweep]\naxis = num_users\naxis_values = 4\n"
+                       "variant = capacity\nvariant_values = 6\ntrials = 1\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    for argv in (["solve", "--config", cfg_path, "--threads", "2"],
+                 ["solve", "--config", threads_key],
+                 ["sweep", "--config", sweep_path, "--threads", "0", "--out", str(out)],
+                 ["sweep", "--config", sweep_path, "--threads", "-1", "--out", str(out)]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert "threads" in captured.err
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
