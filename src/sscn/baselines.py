@@ -16,10 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .dual import (IterateSnapshot, SolveResult, audit_assignment,
-                   delivered_sst, measure_pair)
+                   delivered_sst, measure_pair, solo_cache)
 from .matching import Pairing, greedy_walk
 from .metrics import CacheVector, satisfaction
-from .pair_opt import greedy_single_cache
 from .scenario import Scenario
 
 
@@ -35,10 +34,10 @@ def _preference_first(scn: Scenario, rng: np.random.Generator
     caches: list[CacheVector] = []
     shortfalls: dict[int, float] = {}
     for i in range(scn.num_users):
-        probs = scn.catalog.user_probs[i]
-        bits, reached = greedy_single_cache(probs, sizes, cfg.capacity, cfg.eta_min)
-        if not reached:
-            shortfalls[i] = float(cfg.eta_min - bits @ probs)
+        solo, shortfall = solo_cache(scn, i)
+        if shortfall > 0.0:
+            shortfalls[i] = shortfall
+        bits = solo.bits.copy()
         used = int(bits @ sizes)
         while True:
             fits = [k for k in range(cfg.num_kbs)

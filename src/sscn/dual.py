@@ -18,12 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matching import Pairing, build_omega, solve_dup
-from .metrics import (ETA_SLACK, CacheVector, cache_fits, pair_value_rates,
-                      satisfaction)
+from .metrics import CacheVector, cache_fits, meets_eta, pair_value_rates, satisfaction
 from .pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
                        greedy_single_cache, solve_pair_subproblem)
-from .queueing import pk_delay, queue_stats
-from .scenario import Scenario
+from .queueing import UnstableQueueError, pk_delay, queue_stats
+from .scenario import Scenario, check_finite
 
 
 @dataclass(frozen=True)
@@ -32,23 +31,21 @@ class SolverParams:
 
     ``warm_start`` seeds each pair's tabu search with the joint cache it
     settled on in the previous dual iteration instead of rebuilding the
-    greedy start; off by default so iterations stay independent.
+    greedy start; off by default so iterations stay independent.  The step
+    sizes are DualState's defaults.
     """
 
     dual_iters: int = 50
     pair: PairOptParams = field(default_factory=PairOptParams)
     matching_mode: str = "greedy"
-    step_delay0: float = 100.0
-    step_value0: float = 0.01
     tau_init: float = 1.0
     rho_init: float = 1.0
     warm_start: bool = False
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.dual_iters < 1:
             raise ValueError("need at least one dual iteration")
-        if self.step_delay0 < 0 or self.step_value0 < 0:
-            raise ValueError("step sizes must be nonnegative")
         if self.tau_init < 0 or self.rho_init < 0:
             raise ValueError("initial duals must be nonnegative")
 
@@ -99,11 +96,11 @@ def lagrangian_value(
     cfg = scn.config
     total = 0.0
     for i, j in pairing.matched_pairs():
-        for s, r in ((i, j), (j, i)):
-            rates = pair_value_rates(scn, s, r, caches[s], caches[r], powers[s])
-            stats = queue_stats(caches[s], caches[r], scn.catalog.user_probs[s],
-                                scn.catalog.interp_rates[r], rates.r_d, cfg.packet_bits)
-            total += (1.0 + rho[s]) * rates.v_s - tau[s] * pk_delay(stats)
+        rep = measure_pair(scn, i, j, caches, powers)
+        if math.isinf(rep.delay_ij) or math.isinf(rep.delay_ji):
+            raise UnstableQueueError(f"pair ({i}, {j}) has an unstable queue")
+        total += (1.0 + rho[i]) * rep.secrecy_ij - tau[i] * rep.delay_ij
+        total += (1.0 + rho[j]) * rep.secrecy_ji - tau[j] * rep.delay_ji
     return total + cfg.delay_max_s * float(np.sum(tau)) - cfg.sst_min * float(np.sum(rho))
 
 
@@ -250,8 +247,8 @@ def audit_assignment(
     """Constraint audit shared by the solver and the baselines."""
     cfg = scn.config
     capacity_ok = all(cache_fits(c, scn.catalog.sizes, cfg.capacity) for c in caches)
-    eta_ok = all(satisfaction(caches[i], scn.catalog.user_probs[i])
-                 >= cfg.eta_min - ETA_SLACK for i in range(scn.num_users))
+    eta_ok = all(meets_eta(caches[i], scn.catalog.user_probs[i], cfg.eta_min)
+                 for i in range(scn.num_users))
     powers = np.asarray(powers, dtype=float)
     power_ok = bool(np.all(powers >= 0.0) and np.all(powers <= cfg.p_max_w * (1 + 1e-12)))
     try:
@@ -277,9 +274,10 @@ def audit_assignment(
     )
 
 
-def _solo_cache(scn: Scenario, i: int) -> tuple[CacheVector, float]:
-    """Fallback cache for an unpaired user; returns the eta shortfall (0 if
-    the satisfaction target was reached)."""
+def solo_cache(scn: Scenario, i: int) -> tuple[CacheVector, float]:
+    """Popularity-first cache of user i alone (the fallback of an unpaired
+    user); returns the eta shortfall (0 if the satisfaction target was
+    reached)."""
     cfg = scn.config
     bits, reached = greedy_single_cache(
         scn.catalog.user_probs[i], scn.catalog.sizes, cfg.capacity, cfg.eta_min)
@@ -303,7 +301,7 @@ def _assemble(scn: Scenario, solutions: dict[tuple[int, int], PairSolution],
         powers[i], powers[j] = sol.power_i, sol.power_j
         reports[(i, j)] = _pair_report_from_solution(sol)
     for i in pairing.unpaired():
-        caches[i], shortfall = _solo_cache(scn, i)
+        caches[i], shortfall = solo_cache(scn, i)
         if shortfall > 0.0:
             shortfalls[i] = shortfall
     return caches, powers, reports, shortfalls  # type: ignore[return-value]
@@ -321,8 +319,7 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
     cfg = scn.config
     m = scn.num_users
     pairs = scn.eligible_pairs()
-    state = DualState(tau=np.full(m, params.tau_init), rho=np.full(m, params.rho_init),
-                      step_delay0=params.step_delay0, step_value0=params.step_value0)
+    state = DualState(tau=np.full(m, params.tau_init), rho=np.full(m, params.rho_init))
     trace: list[IterationRecord] = []
     best: IterateSnapshot | None = None
     final: tuple | None = None

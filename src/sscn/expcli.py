@@ -12,8 +12,8 @@ Config files are INI-style text.  ``[scenario]`` holds ScenarioConfig keys
 ``[sweep]`` the sweep description (``axis``, ``axis_values``, ``variant``,
 ``variant_values``, ``schemes``, ``trials``, ``seed``).
 
-Exit codes: 0 success, 2 infeasible scenario or solve, 3 unparseable
-config/arguments.
+Exit codes: 0 success, 2 infeasible scenario or solve, 3 unparseable or
+invalid config/arguments (unknown keys, NaN or infinite values included).
 
 Sweep CSVs are byte-reproducible: trial seeds are a pure hash of the sweep
 spec (see ``derive_trial_seeds`` for the common-random-numbers layout) and
@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .matching import UNPAIRED
 from .pair_opt import InfeasiblePairError, PairOptParams
 from .scenario import (Scenario, ScenarioConfig, ScenarioFormatError,
                        ScenarioGenerationError, config_from_mapping,
-                       generate_scenario, load_scenario, save_scenario,
-                       scenario_to_text)
+                       fields_from_strings, generate_scenario, load_scenario,
+                       save_scenario, scenario_to_text)
 
 CSV_HEADER = ("scheme,axis,axis_value,variant,variant_value,"
               "mean_sst,mean_delay_s,mean_eta,trials,seed,errors")
@@ -51,8 +51,8 @@ VARIANT_FIELDS = {"user_skew": "user_skew", "capacity": "capacity", "eta_min": "
 SCHEMES = ("proposed", "rpd", "mpk")
 
 
-class ConfigError(ValueError):
-    """Raised for malformed config files or sweep specs."""
+# config files, scenario files and sweep specs share one error type
+ConfigError = ScenarioFormatError
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,16 @@ class SweepSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
-        if self.trials < 1 or not self.axis_values or not self.variant_values:
-            raise ConfigError("sweep needs trials >= 1 and nonempty value lists")
+        if self.trials < 1 or not (self.schemes and self.axis_values and self.variant_values):
+            raise ConfigError("sweep needs trials >= 1 and nonempty scheme and value lists")
+        # an invalid cell config fails the spec here, not every trial of the cell
+        for a in self.axis_values:
+            for v in self.variant_values:
+                try:
+                    _trial_config(self, a, v, self.base.rng_seed)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep cell {self.axis}={_fmt(a)} "
+                                      f"{self.variant}={_fmt(v)}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -231,59 +239,33 @@ def _read_ini(path: str) -> configparser.ConfigParser:
 def _scenario_config(parser: configparser.ConfigParser, path: str) -> ScenarioConfig:
     if not parser.has_section("scenario"):
         raise ConfigError(f"{path} has no [scenario] section")
-    try:
-        return config_from_mapping(dict(parser.items("scenario")))
-    except ScenarioFormatError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-_SOLVER_KEYS = {
-    "dual_iters": int, "matching_mode": str, "step_delay0": float,
-    "step_value0": float, "tau_init": float, "rho_init": float,
-    "warm_start": bool,
-}
-_PAIR_KEYS = {
-    "sigma": int, "tabu_iters": int, "tabu_len": int, "growth_eps": float,
-    "growth_window": int, "power_grid_points": int, "power_refine": bool,
-    "power_tol_frac": float, "exhaustive": bool,
-}
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() not in ("true", "false"):
-        raise ValueError(f"expected true/false, got {raw!r}")
-    return raw.lower() == "true"
+    return config_from_mapping(dict(parser.items("scenario")))
 
 
 def _solver_params(parser: configparser.ConfigParser) -> SolverParams:
+    # [solver] holds SolverParams and PairOptParams keys in one section
     if not parser.has_section("solver"):
         return SolverParams()
-    solver_kwargs: dict[str, object] = {}
-    pair_kwargs: dict[str, object] = {}
+    names = {"tabu_iters": "max_iters"}
+    solver_items = dict(parser.items("solver"))
+    pair_keys = {f.name for f in fields(PairOptParams)} | set(names)
+    pair_items = {k: solver_items.pop(k) for k in list(solver_items) if k in pair_keys}
+    pair_kwargs = fields_from_strings(PairOptParams, pair_items, "solver", names)
+    solver_kwargs = fields_from_strings(SolverParams, solver_items, "solver")
     try:
-        for key, raw in parser.items("solver"):
-            if key in _SOLVER_KEYS:
-                conv = _SOLVER_KEYS[key]
-                solver_kwargs[key] = _parse_bool(raw) if conv is bool else conv(raw)
-            elif key in _PAIR_KEYS:
-                conv = _PAIR_KEYS[key]
-                value = _parse_bool(raw) if conv is bool else conv(raw)
-                pair_kwargs["max_iters" if key == "tabu_iters" else key] = value
-            else:
-                raise ConfigError(f"unknown solver key {key!r}")
         return SolverParams(pair=PairOptParams(**pair_kwargs), **solver_kwargs)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"bad solver config: {exc}") from exc
 
 
-def _parse_values(raw: str, axis_or_variant: str) -> tuple:
-    integral = axis_or_variant in ("num_users", "num_kbs", "capacity")
-    values = []
-    for token in raw.replace(",", " ").split():
-        values.append(int(token) if integral else float(token))
-    return tuple(values)
+def _parse_values(raw: str, field_name: str | None) -> tuple:
+    # typed by the ScenarioConfig field they set; strings for an unknown
+    # axis or variant, which SweepSpec rejects
+    tokens = raw.replace(",", " ").split()
+    if field_name is None:
+        return tuple(tokens)
+    return tuple(fields_from_strings(ScenarioConfig, {field_name: token})[field_name]
+                 for token in tokens)
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
@@ -296,22 +278,15 @@ def load_sweep_spec(path: str) -> SweepSpec:
     try:
         axis = sweep.pop("axis")
         variant = sweep.pop("variant")
-        spec = SweepSpec(
-            axis=axis,
-            axis_values=_parse_values(sweep.pop("axis_values"), axis),
-            variant=variant,
-            variant_values=_parse_values(sweep.pop("variant_values"), variant),
-            schemes=tuple(sweep.pop("schemes", "proposed rpd mpk").replace(",", " ").split()),
-            trials=int(sweep.pop("trials", "20")),
-            seed=int(sweep.pop("seed", "0")),
-            base=base, solver=solver)
+        axis_values = _parse_values(sweep.pop("axis_values"), AXIS_FIELDS.get(axis))
+        variant_values = _parse_values(sweep.pop("variant_values"), VARIANT_FIELDS.get(variant))
+        schemes = tuple(sweep.pop("schemes", " ".join(SCHEMES)).replace(",", " ").split())
+        options = fields_from_strings(SweepSpec, sweep, "sweep")
     except KeyError as exc:
         raise ConfigError(f"sweep spec missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep spec: {exc}") from exc
-    if sweep:
-        raise ConfigError(f"unknown sweep keys: {sorted(sweep)}")
-    return spec
+    return SweepSpec(axis=axis, axis_values=axis_values, variant=variant,
+                     variant_values=variant_values, schemes=schemes, base=base,
+                     solver=solver, **options)
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +444,7 @@ def main(argv=None) -> int:
     except _CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ScenarioFormatError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except (ScenarioGenerationError, InfeasiblePairError) as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .metrics import ETA_SLACK, CacheVector, pair_value_rates
 from .queueing import STABILITY_GUARD, pk_delay, queue_stats
-from .scenario import Scenario
+from .scenario import Scenario, check_finite
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -38,36 +38,38 @@ class InfeasiblePairError(RuntimeError):
     """Raised when no joint cache satisfies capacity and eta_min for a pair."""
 
 
+# Tabu memory length and stagnation stop: the search ends once the incumbent
+# improves by less than GROWTH_EPS (relative) over GROWTH_WINDOW iterations.
+TABU_LEN = 64
+GROWTH_EPS = 1.0e-4
+GROWTH_WINDOW = 10
+# golden-section refinement stops at this fraction of p_max
+POWER_TOL_FRAC = 1.0e-6
+
+
 @dataclass(frozen=True)
 class PairOptParams:
     """Knobs of the per-pair search.
 
     ``sigma`` is the Hamming radius of the tabu neighborhood, ``max_iters``
-    the tabu iteration budget; the search also stops when the incumbent
-    improves by less than ``growth_eps`` (relative) over ``growth_window``
-    iterations.  Powers are searched on ``power_grid_points`` levels and,
-    when ``power_refine`` is set, golden-section refined to
-    ``power_tol_frac * p_max``.  ``exhaustive`` replaces the tabu search with
+    the tabu iteration budget.  Powers are searched on ``power_grid_points``
+    levels and, when ``power_refine`` is set, golden-section refined to
+    ``POWER_TOL_FRAC * p_max``.  ``exhaustive`` replaces the tabu search with
     full joint-cache enumeration (small catalogs only).
     """
 
     sigma: int = 2
     max_iters: int = 40
-    tabu_len: int = 64
-    growth_eps: float = 1.0e-4
-    growth_window: int = 10
     power_grid_points: int = 256
     power_refine: bool = True
-    power_tol_frac: float = 1.0e-6
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma < 1 or self.max_iters < 0 or self.tabu_len < 1:
-            raise ValueError("sigma, max_iters, tabu_len must be positive (max_iters >= 0)")
-        if self.growth_eps < 0.0 or self.growth_window < 1:
-            raise ValueError("growth_eps must be >= 0 and growth_window >= 1")
-        if self.power_grid_points < 2 or self.power_tol_frac <= 0.0:
-            raise ValueError("need at least two power levels and a positive tolerance")
+        check_finite(self)
+        if self.sigma < 1 or self.max_iters < 0:
+            raise ValueError("sigma must be positive and max_iters >= 0")
+        if self.power_grid_points < 2:
+            raise ValueError("need at least two power levels")
 
 
 @dataclass(frozen=True)
@@ -312,7 +314,7 @@ class _PairContext:
     def _refine_iters(self, lo: np.ndarray, hi: np.ndarray) -> int:
         """Golden-section step count of a batch, set by its widest bracket;
         0 when every bracket is already within tolerance."""
-        tol = self.params.power_tol_frac * self.p_max
+        tol = POWER_TOL_FRAC * self.p_max
         width = float(np.max(hi - lo))
         if width <= tol:
             return 0
@@ -630,7 +632,7 @@ def solve_pair_subproblem(
     params = params or PairOptParams()
     if params.exhaustive:
         sol = enumerate_pair_optimum(scn, i, j, tau, rho, params)
-        return (sol, TabuState(params.tabu_len)) if return_state else sol
+        return (sol, TabuState(TABU_LEN)) if return_state else sol
     if initial is None:
         cache_i, cache_j = initial_kbc(scn, i, j)  # may raise InfeasiblePairError
         joint = np.concatenate((cache_i.bits, cache_j.bits))
@@ -639,7 +641,7 @@ def solve_pair_subproblem(
         if joint.shape != (2 * scn.config.num_kbs,):
             raise ValueError("warm-start joint cache has the wrong length")
     ctx = _PairContext(scn, i, j, tau, rho, params)
-    state = TabuState(params.tabu_len)
+    state = TabuState(TABU_LEN)
     scores, p_i, p_j = ctx.evaluate(joint[None, :])
     best = (joint.copy(), float(p_i[0]), float(p_j[0]))
     state.best_joint = best[0]
@@ -662,9 +664,9 @@ def solve_pair_subproblem(
         else:
             state.add(state.current)
         state.best_history.append(state.best_score)
-        if len(state.best_history) > params.growth_window:
-            ref = state.best_history[-1 - params.growth_window]
-            if state.best_score - ref <= params.growth_eps * max(abs(ref), 1e-12):
+        if len(state.best_history) > GROWTH_WINDOW:
+            ref = state.best_history[-1 - GROWTH_WINDOW]
+            if state.best_score - ref <= GROWTH_EPS * max(abs(ref), 1e-12):
                 break
 
     sol = ctx.finalize(best[0], best[1], best[2])

@@ -33,7 +33,16 @@ class ScenarioGenerationError(RuntimeError):
 
 
 class ScenarioFormatError(ValueError):
-    """Raised when a scenario or config file cannot be parsed."""
+    """Raised when a scenario file, config file or sweep spec is malformed."""
+
+
+def check_finite(obj) -> None:
+    """Raise ValueError naming the first attribute of ``obj`` (or entry of a
+    tuple attribute) that is a NaN or infinite float."""
+    for name, value in vars(obj).items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{name} must be finite, got {item!r}")
 
 
 def dbm_to_watts(value_dbm: float) -> float:
@@ -103,6 +112,7 @@ class ScenarioConfig:
     p_max_w: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.num_users < 2:
             raise ValueError("need at least two users")
         if self.num_kbs < 1:
@@ -339,23 +349,45 @@ def with_p_max(scn: Scenario, p_max_dbm: float) -> Scenario:
 # are recomputed on load.
 # --------------------------------------------------------------------------
 
-_CONFIG_INT_KEYS = {"num_users", "num_kbs", "capacity", "rng_seed"}
-_CONFIG_BOOL_KEYS = {"per_user_interp"}
+def fields_from_strings(cls, mapping: dict[str, str], what: str = "config",
+                        names: dict[str, str] | None = None) -> dict[str, object]:
+    """Keyword arguments for dataclass ``cls`` from string key/value pairs,
+    each typed like its field's default: bool (``true``/``false``), int, float
+    or str.  ``names`` maps a key to the field it sets when the two differ (the
+    field's own name is then no key).  Unknown keys, fields without a scalar
+    default (tuples, nested parameters) and bad values raise
+    ScenarioFormatError."""
+    names = names or {}
+    kinds = {f.name: type(f.default) for f in fields(cls)
+             if f.init and type(f.default) in (bool, int, float, str)}
+    kwargs: dict[str, object] = {}
+    for key, raw in mapping.items():
+        name = names.get(key, key)
+        if name not in kinds or (name == key and key in names.values()):
+            raise ScenarioFormatError(f"unknown {what} key {key!r}")
+        kind = kinds[name]
+        if kind is bool and raw.lower() not in ("true", "false"):
+            raise ScenarioFormatError(f"{key} must be true or false, got {raw!r}")
+        try:
+            kwargs[name] = raw.lower() == "true" if kind is bool else kind(raw)
+        except ValueError:
+            raise ScenarioFormatError(f"{key} must be {kind.__name__}, got {raw!r}") from None
+    return kwargs
 
 
 def _config_items(config: ScenarioConfig) -> list[tuple[str, str]]:
+    # an inclusive (min, max) range field <stem>_range is written as the
+    # keys <stem>_min and <stem>_max
     items: list[tuple[str, str]] = []
     for f in fields(config):
         if not f.init:
             continue
         value = getattr(config, f.name)
-        if f.name == "kb_size_range":
-            items.append(("kb_size_min", repr(value[0])))
-            items.append(("kb_size_max", repr(value[1])))
-        elif f.name == "interp_time_range":
-            items.append(("interp_time_min", repr(value[0])))
-            items.append(("interp_time_max", repr(value[1])))
-        elif f.name in _CONFIG_BOOL_KEYS:
+        if isinstance(value, tuple):
+            stem = f.name.removesuffix("_range")
+            items.append((f"{stem}_min", repr(value[0])))
+            items.append((f"{stem}_max", repr(value[1])))
+        elif isinstance(value, bool):
             items.append((f.name, "true" if value else "false"))
         else:
             items.append((f.name, repr(value)))
@@ -367,24 +399,12 @@ def config_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     kwargs: dict[str, object] = {}
     pending = dict(mapping)
     try:
-        if "kb_size_min" in pending or "kb_size_max" in pending:
-            kwargs["kb_size_range"] = (int(pending.pop("kb_size_min")),
-                                       int(pending.pop("kb_size_max")))
-        if "interp_time_min" in pending or "interp_time_max" in pending:
-            kwargs["interp_time_range"] = (float(pending.pop("interp_time_min")),
-                                           float(pending.pop("interp_time_max")))
-        valid = {f.name for f in fields(ScenarioConfig) if f.init}
-        for key, raw in pending.items():
-            if key not in valid:
-                raise ScenarioFormatError(f"unknown config key {key!r}")
-            if key in _CONFIG_INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key in _CONFIG_BOOL_KEYS:
-                if raw.lower() not in ("true", "false"):
-                    raise ScenarioFormatError(f"{key} must be true or false, got {raw!r}")
-                kwargs[key] = raw.lower() == "true"
-            else:
-                kwargs[key] = float(raw)
+        for f in fields(ScenarioConfig):
+            lo, hi = (f"{f.name.removesuffix('_range')}_{end}" for end in ("min", "max"))
+            if isinstance(f.default, tuple) and (lo in pending or hi in pending):
+                kind = type(f.default[0])
+                kwargs[f.name] = (kind(pending.pop(lo)), kind(pending.pop(hi)))
+        kwargs.update(fields_from_strings(ScenarioConfig, pending))
         return ScenarioConfig(**kwargs)  # type: ignore[arg-type]
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ScenarioFormatError):

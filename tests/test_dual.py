@@ -361,8 +361,8 @@ def test_solver_raises_when_every_pair_is_infeasible():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(dual_iters=0), dict(step_delay0=-1.0), dict(step_value0=-0.1),
-    dict(tau_init=-1.0), dict(rho_init=-0.5),
+    dict(dual_iters=0), dict(tau_init=-1.0), dict(rho_init=-0.5),
+    dict(tau_init=math.nan), dict(rho_init=math.inf),
 ])
 def test_solver_params_validation(kwargs):
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ import pytest
 from conftest import make_scenario
 from sscn.dual import SolverParams, run_solver
 from sscn.expcli import (AXIS_FIELDS, CSV_HEADER, ConfigError, ResultRow,
-                         SweepSpec, _fmt, derive_trial_seeds, load_sweep_spec,
+                         SweepSpec, _fmt, _read_ini, _scenario_config,
+                         _solver_params, derive_trial_seeds, load_sweep_spec,
                          main, rows_to_csv, run_sweep, trial_metrics)
-from sscn.scenario import (ScenarioConfig, ScenarioFormatError, generate_scenario,
-                           load_scenario, save_scenario)
+from sscn.pair_opt import PairOptParams
+from sscn.scenario import (ScenarioConfig, ScenarioFormatError, _config_items,
+                           generate_scenario, load_scenario, save_scenario)
 
 FAST_SOLVER = ("[solver]\ndual_iters = 1\ntabu_iters = 3\n"
                "power_grid_points = 16\npower_refine = false\n")
@@ -146,7 +150,6 @@ def test_load_sweep_spec_rejects_bad_files(tmp_path, body):
 
 
 def test_solver_section_rejects_unknown_keys(tmp_path):
-    from sscn.expcli import _read_ini, _solver_params
     path = write(tmp_path, "solver.ini", "[solver]\nwarp = 9\n")
     with pytest.raises(ConfigError):
         _solver_params(_read_ini(path))
@@ -156,12 +159,115 @@ def test_solver_section_rejects_unknown_keys(tmp_path):
 
 
 def test_solver_section_parses_warm_start(tmp_path):
-    from sscn.expcli import _read_ini, _solver_params
     path = write(tmp_path, "solver.ini",
                  "[solver]\nwarm_start = true\nmatching_mode = exact\n")
     params = _solver_params(_read_ini(path))
     assert params.warm_start is True
     assert params.matching_mode == "exact"
+
+
+def _changed(default):
+    """A valid non-default value of the same type as a config field default."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, tuple):
+        return (default[0], default[1] * 2)
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default / 2 + 0.125
+    return default
+
+
+def _changed_fields(cls):
+    return {f.name: _changed(f.default) for f in fields(cls)
+            if f.init and isinstance(f.default, (bool, int, float, str, tuple))}
+
+
+def test_every_config_field_reads_back_from_config_text(tmp_path):
+    # the reader types each value by its field, so a new field needs no table
+    cfg = ScenarioConfig(**_changed_fields(ScenarioConfig))
+    pair = PairOptParams(**_changed_fields(PairOptParams))
+    solver = SolverParams(pair=pair, **_changed_fields(SolverParams))
+    lines = ["[scenario]"] + [f"{k} = {v}" for k, v in _config_items(cfg)] + ["[solver]"]
+    for params in (pair, solver):
+        for name, value in _changed_fields(type(params)).items():
+            key = "tabu_iters" if name == "max_iters" else name
+            lines.append(f"{key} = {_fmt(value)}")
+    parser = _read_ini(write(tmp_path, "all.ini", "\n".join(lines) + "\n"))
+    assert _scenario_config(parser, "all.ini") == cfg
+    assert _solver_params(parser) == solver
+    assert cfg != ScenarioConfig() and solver != SolverParams()
+
+
+@pytest.mark.parametrize("key", ["tabu_len", "growth_eps", "growth_window",
+                                 "power_tol_frac", "step_delay0", "step_value0"])
+def test_removed_solver_keys_exit_3(tmp_path, capsys, key):
+    path = write(tmp_path, "cfg.ini", SCENARIO_4 + f"[solver]\n{key} = 1\n")
+    assert main(["solve", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: unknown solver key {key!r}\n"
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    ("scenario", "delay_max_s", "nan"), ("scenario", "sst_min", "inf"),
+    ("scenario", "p_max_dbm", "nan"), ("solver", "tau_init", "nan"),
+    ("solver", "rho_init", "inf"),
+])
+def test_non_finite_values_exit_3(tmp_path, capsys, section, key, raw):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        if section == "scenario":
+            ScenarioConfig(**{key: float(raw)})
+        else:
+            SolverParams(**{key: float(raw)})
+    text = SCENARIO_4 + FAST_SOLVER
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {raw}\n")
+    path = write(tmp_path, "cfg.ini", text)
+    assert main(["solve", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ") and f"{key} must be finite" in captured.err
+
+
+SWEEP_CELL = ("[sweep]\naxis = num_users\naxis_values = 4\n"
+              "variant = eta_min\nvariant_values = 0.5\ntrials = 1\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("variant_values = 0.5", "variant_values = 0.5 nan"), "eta_min must be finite"),
+    (("variant_values = 0.5", "variant_values = 1.5"), "eta_min must lie in [0, 1]"),
+    (("trials = 1", "trials = 1\nschemes ="), "nonempty scheme and value lists"),
+])
+def test_sweep_spec_fails_at_load(tmp_path, capsys, edit, message):
+    # an empty scheme list or a cell whose config is invalid would otherwise
+    # write a header-only CSV or fail every trial of the cell with exit 0
+    path = write(tmp_path, "sweep.ini", SCENARIO_4 + FAST_SOLVER + SWEEP_CELL.replace(*edit))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_sweep_spec(path)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,raw,kind", [
+    ("num_kbs", "3, 4", int), ("capacity", "6 7", int),
+    ("p_max", "9, 15", float), ("eta_min", "0.5 1", float),
+])
+def test_sweep_values_are_typed_by_their_fields(tmp_path, name, raw, kind):
+    is_axis = name in AXIS_FIELDS
+    axis, variant = (name, "capacity") if is_axis else ("num_users", name)
+    axis_values, variant_values = (raw, "6") if is_axis else ("4", raw)
+    path = write(tmp_path, "sweep.ini", SCENARIO_4 +
+                 f"[sweep]\naxis = {axis}\naxis_values = {axis_values}\n"
+                 f"variant = {variant}\nvariant_values = {variant_values}\n")
+    spec = load_sweep_spec(path)
+    values = spec.axis_values if is_axis else spec.variant_values
+    assert [type(v) for v in values] == [kind, kind]
+    assert values == tuple(kind(float(t)) for t in raw.replace(",", " ").split())
 
 
 # ---------------------------------------------------------------- run_sweep

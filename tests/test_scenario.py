@@ -9,7 +9,7 @@ import pytest
 from conftest import ZIPF3, assert_close
 from sscn.scenario import (ScenarioConfig, ScenarioFormatError,
                            ScenarioGenerationError, channel_gain_from_distance,
-                           config_from_mapping, dbm_to_watts,
+                           config_from_mapping, dbm_to_watts, fields_from_strings,
                            generate_scenario, scenario_from_text,
                            scenario_to_text, with_p_max, zipf_probabilities)
 
@@ -225,6 +225,22 @@ def test_config_from_mapping_round_trip():
     assert rebuilt.kb_size_range == cfg.kb_size_range
     assert rebuilt.per_user_interp is True
     assert_close(rebuilt.p_max_w, cfg.p_max_w, rel=1e-15)
+
+
+def test_fields_from_strings_types_by_field_default():
+    kwargs = fields_from_strings(ScenarioConfig, {
+        "num_users": "7", "eta_min": "1", "per_user_interp": "TRUE"})
+    assert kwargs == {"num_users": 7, "eta_min": 1.0, "per_user_interp": True}
+    assert type(kwargs["eta_min"]) is float
+    for bad in ({"num_users": "7.0"}, {"per_user_interp": "yes"}, {"eta_min": "half"},
+                {"kb_size_range": "1 5"}, {"noise_w": "1.0"}, {"bogus": "1"}):
+        with pytest.raises(ScenarioFormatError):
+            fields_from_strings(ScenarioConfig, bad)
+    # a renamed field is set through its config name only
+    names = {"size": "num_users"}
+    assert fields_from_strings(ScenarioConfig, {"size": "3"}, names=names) == {"num_users": 3}
+    with pytest.raises(ScenarioFormatError, match="unknown config key 'num_users'"):
+        fields_from_strings(ScenarioConfig, {"num_users": "3"}, names=names)
 
 
 @pytest.mark.parametrize("kwargs", [
