@@ -17,6 +17,7 @@ import argparse
 import numpy as np
 
 from sscn.dual import SolverParams, run_solver
+from sscn.matching import MODES
 from sscn.pair_opt import PairOptParams
 from sscn.scenario import ScenarioConfig, generate_scenario
 
@@ -32,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--iters", type=int, default=25,
                         help="dual ascent iterations (default: 25)")
-    parser.add_argument("--mode", choices=("greedy", "exact"), default="greedy",
+    parser.add_argument("--mode", choices=MODES, default="greedy",
                         help="pairing stage (exact only for small networks)")
     args = parser.parse_args(argv)
 

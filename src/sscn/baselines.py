@@ -11,8 +11,6 @@ rather than being hidden.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .dual import (IterateSnapshot, SolveResult, audit_assignment,
@@ -22,9 +20,7 @@ from .metrics import CacheVector, satisfaction
 from .scenario import Scenario
 
 
-class BaselineKind(str, Enum):
-    RPD = "rpd"  # random power, nearest-neighbor pairing
-    MPK = "mpk"  # max power, max cache-overlap pairing
+KINDS = ("rpd", "mpk")
 
 
 def _preference_first(scn: Scenario, rng: np.random.Generator
@@ -56,17 +52,18 @@ def preference_first_kbc(scn: Scenario, seed: int) -> list[CacheVector]:
     return _preference_first(scn, np.random.default_rng(seed))[0]
 
 
-def run_baseline(scn: Scenario, kind: BaselineKind | str, seed: int) -> SolveResult:
-    """Evaluate one baseline scheme on a scenario.
+def run_baseline(scn: Scenario, kind: str, seed: int) -> SolveResult:
+    """Evaluate one baseline scheme (one of ``KINDS``) on a scenario.
 
     The RNG stream covers the random cache fill and, for RPD, the power
     draws, so identical (scenario, kind, seed) runs are identical.
     """
-    kind = BaselineKind(kind)
+    if kind not in KINDS:
+        raise ValueError(f"unknown baseline kind {kind!r}; expected one of {KINDS}")
     cfg = scn.config
     rng = np.random.default_rng(seed)
     caches, shortfalls = _preference_first(scn, rng)
-    if kind is BaselineKind.RPD:
+    if kind == "rpd":
         # 1 - U lands in (0, 1], keeping zero power out of the draw
         powers = cfg.p_max_w * (1.0 - rng.random(scn.num_users))
         cells = sorted(scn.eligible_pairs(),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matching import Pairing, build_omega, solve_dup
+from .matching import MODES, Pairing, build_omega, matching_weight, solve_dup
 from .metrics import CacheVector, cache_fits, meets_eta, pair_value_rates, satisfaction
 from .pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
                        greedy_single_cache, solve_pair_subproblem)
@@ -48,6 +48,9 @@ class SolverParams:
             raise ValueError("need at least one dual iteration")
         if self.tau_init < 0 or self.rho_init < 0:
             raise ValueError("initial duals must be nonnegative")
+        if self.matching_mode not in MODES:
+            raise ValueError(f"matching_mode must be one of {MODES}, "
+                             f"got {self.matching_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -310,9 +313,10 @@ def _assemble(scn: Scenario, solutions: dict[tuple[int, int], PairSolution],
 def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult:
     """Full dual-decomposition solve of one scenario.
 
-    Deterministic given (scenario, params).  Per-pair subproblem
-    infeasibilities surface as absent score cells plus entries in
-    ``feasibility.pair_failures``; if no pair is feasible at all the solver
+    Deterministic given (scenario, params).  Each dual iteration keeps the
+    solved pairs' solutions; a pair whose subproblem is infeasible is kept
+    only as its error text, reported in ``feasibility.pair_failures``, and
+    its score cell stays -inf.  If no pair is feasible at all the solver
     raises InfeasiblePairError.
     """
     params = params or SolverParams()
@@ -334,21 +338,18 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
                     scn, i, j, state.tau, state.rho, params.pair, initial=warm.get((i, j)))
             except InfeasiblePairError as exc:
                 failures[(i, j)] = str(exc)
-                solutions[(i, j)] = PairSolution.infeasible_pair(i, j, cfg.num_kbs)
         if params.warm_start:
             for pair, sol in solutions.items():
-                if sol.feasible:
-                    warm[pair] = np.concatenate(
-                        (sol.cache_i.bits, sol.cache_j.bits))
-        if pairs and all(not s.feasible for s in solutions.values()):
+                warm[pair] = np.concatenate((sol.cache_i.bits, sol.cache_j.bits))
+        if pairs and not solutions:
             raise InfeasiblePairError(
                 "every eligible pair is infeasible; see per-pair diagnostics")
-        omega = build_omega(solutions, m, pairs)
+        omega = build_omega(solutions, m)
         pairing = solve_dup(omega, params.matching_mode)
-        caches, powers, reports, shortfalls = _assemble(scn, omega.solutions, pairing)
+        caches, powers, reports, shortfalls = _assemble(scn, solutions, pairing)
         sst = delivered_sst(reports)
         delay_sums, value_sums = _per_user_sums(m, reports)
-        inner_value = float(sum(omega.scores[i, j] for i, j in pairing.matched_pairs()))
+        inner_value = matching_weight(omega, pairing)
         dual_value = (inner_value + cfg.delay_max_s * float(np.sum(state.tau))
                       - cfg.sst_min * float(np.sum(state.rho)))
         max_delay_violation = float(np.max(np.maximum(delay_sums - cfg.delay_max_s, 0.0)))

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import run_baseline
+from .baselines import KINDS, run_baseline
 from .dual import SolveResult, SolverParams, run_solver
-from .matching import UNPAIRED
+from .matching import MODES, UNPAIRED
 from .pair_opt import InfeasiblePairError, PairOptParams
 from .scenario import (Scenario, ScenarioConfig, ScenarioFormatError,
                        ScenarioGenerationError, config_from_mapping,
@@ -48,7 +48,7 @@ CSV_HEADER = ("scheme,axis,axis_value,variant,variant_value,"
 # axis / variant names accepted in sweep specs -> ScenarioConfig field
 AXIS_FIELDS = {"num_users": "num_users", "num_kbs": "num_kbs", "p_max": "p_max_dbm"}
 VARIANT_FIELDS = {"user_skew": "user_skew", "capacity": "capacity", "eta_min": "eta_min"}
-SCHEMES = ("proposed", "rpd", "mpk")
+SCHEMES = ("proposed",) + KINDS
 
 
 # config files, scenario files and sweep specs share one error type
@@ -224,7 +224,8 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 # --------------------------------------------------------------------------
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # a value may end in a "# ..." comment, as in the README's examples
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # type: ignore[method-assign]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -412,7 +413,7 @@ def _build_parser() -> _Parser:
                        help="config file ([scenario] + optional [solver]) to generate from")
     solve.add_argument("--seed", type=int, default=None, help="override rng_seed with --config")
     solve.add_argument("--iters", type=int, default=None, help="override dual iterations")
-    solve.add_argument("--mode", choices=("greedy", "exact"), default=None,
+    solve.add_argument("--mode", choices=MODES, default=None,
                        help="pairing mode (exact is a small-instance oracle)")
     solve.add_argument("--trace", action="store_true", help="print per-iteration trace to stderr")
     solve.add_argument("--out", default=None, help="JSON result path (default stdout)")
@@ -421,7 +422,7 @@ def _build_parser() -> _Parser:
     base = sub.add_parser("baseline", help="evaluate the rpd or mpk benchmark")
     base.add_argument("--scenario", default=None)
     base.add_argument("--config", default=None)
-    base.add_argument("--kind", choices=("rpd", "mpk"), required=True)
+    base.add_argument("--kind", choices=KINDS, required=True)
     base.add_argument("--seed", type=int, default=None,
                       help="baseline RNG seed (and rng_seed override with --config)")
     base.add_argument("--out", default=None)

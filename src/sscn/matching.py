@@ -1,12 +1,13 @@
 """Network-wide pairing of users from per-pair scores.
 
-Given the optimized score of every eligible unordered pair, the pairing
-stage selects disjoint pairs maximizing the summed score, with at most one
-partner per user (users may stay unpaired).  ``greedy`` mode is the
-greedy rounding that repeatedly fixes the best-scoring remaining pair; it
-carries the classic 1/2-approximation guarantee of greedy matching.
-``exact`` mode is a memoised DP over subsets of free users (<= 12 users)
-and exists purely as a desk-scale oracle.
+The pairing stage sees only a symmetric score matrix: each solved pair's
+optimized score in both of its cells, ``-inf`` for ineligible pairs and for
+pairs whose subproblem had no feasible solution.  It selects disjoint pairs
+maximizing the summed score, with at most one partner per user (users may
+stay unpaired).  ``greedy`` mode is the greedy rounding that repeatedly fixes
+the best-scoring remaining pair; it carries the classic 1/2-approximation
+guarantee of greedy matching.  ``exact`` mode is a memoised DP over subsets
+of free users (<= 12 users) and exists purely as a desk-scale oracle.
 
 Pairs whose score is not strictly positive are never selected: they cannot
 improve the objective, and leaving their users unpaired is reported
@@ -29,6 +30,9 @@ if TYPE_CHECKING:  # only for annotations; avoids an import cycle
 UNPAIRED = -1
 
 EXACT_MODE_MAX_USERS = 12
+
+# pairing-stage modes, in the order the CLI lists them
+MODES = ("greedy", "exact")
 
 
 @dataclass(frozen=True)
@@ -73,44 +77,23 @@ class Pairing:
 
 @dataclass(frozen=True)
 class OmegaMatrix:
-    """Symmetric per-pair score matrix; absent/ineligible cells are -inf.
-
-    ``solutions`` holds the feasible per-pair solutions behind the scores,
-    ``failed`` the eligible pairs whose subproblem was infeasible.
-    """
+    """Symmetric per-pair score matrix; cells without a solved pair are -inf."""
 
     scores: np.ndarray
-    solutions: dict[tuple[int, int], "PairSolution"]
-    failed: tuple[tuple[int, int], ...]
 
     @property
     def num_users(self) -> int:
         return self.scores.shape[0]
 
-    def score(self, i: int, j: int) -> float:
-        return float(self.scores[i, j])
-
 
 def build_omega(
-    pair_solutions: Mapping[tuple[int, int], "PairSolution"],
-    num_users: int,
-    eligible_pairs: Sequence[tuple[int, int]],
+    pair_solutions: Mapping[tuple[int, int], "PairSolution"], num_users: int
 ) -> OmegaMatrix:
-    """Assemble the score matrix; every eligible pair must be supplied."""
+    """Score matrix holding each solved pair's score in both of its cells."""
     scores = np.full((num_users, num_users), -math.inf)
-    solutions: dict[tuple[int, int], "PairSolution"] = {}
-    failed: list[tuple[int, int]] = []
-    for i, j in eligible_pairs:
-        key = (i, j) if i < j else (j, i)
-        if key not in pair_solutions:
-            raise ValueError(f"missing pair solution for eligible pair {key}")
-        sol = pair_solutions[key]
-        if sol.feasible and math.isfinite(sol.score):
-            scores[key[0], key[1]] = scores[key[1], key[0]] = sol.score
-            solutions[key] = sol
-        else:
-            failed.append(key)
-    return OmegaMatrix(scores=scores, solutions=solutions, failed=tuple(failed))
+    for (i, j), sol in pair_solutions.items():
+        scores[i, j] = scores[j, i] = sol.score
+    return OmegaMatrix(scores)
 
 
 def greedy_walk(num_users: int, cells: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -181,12 +164,9 @@ def solve_dup(omega: OmegaMatrix, mode: str = "greedy") -> Pairing:
     greedy max-first rounding with lexicographic tie-breaks; ``exact`` is the
     oracle, a memoised DP over subsets of free users (<= 12 users).
     """
-    if mode == "greedy":
-        pairs = _greedy_matching(omega)
-    elif mode == "exact":
-        pairs = _exact_matching(omega)
-    else:
+    if mode not in MODES:
         raise ValueError(f"unknown matching mode {mode!r}")
+    pairs = _greedy_matching(omega) if mode == "greedy" else _exact_matching(omega)
     return Pairing.from_pairs(omega.num_users, pairs)
 
 

@@ -87,11 +87,6 @@ def link_rates(
             shannon_rate(power_w, gain_e, bandwidth_hz, noise_w))
 
 
-def semantic_weights(ranks: np.ndarray, skew: float) -> np.ndarray:
-    """Un-normalized Zipf weights rank**-skew (per-KB semantic value)."""
-    return np.asarray(ranks, dtype=float) ** -skew
-
-
 def satisfaction(cache: CacheVector, probs: np.ndarray) -> float:
     """Semantic knowledge satisfaction: request mass covered by the cache."""
     return float(cache.bits @ np.asarray(probs, dtype=float))

@@ -87,26 +87,17 @@ class PairSolution:
     secrecy_ji: float
     delay_ij: float
     delay_ji: float
-    feasible: bool = True
-
-    @classmethod
-    def infeasible_pair(cls, i: int, j: int, num_kbs: int) -> "PairSolution":
-        empty = np.zeros(num_kbs, dtype=np.uint8)
-        return cls(i, j, CacheVector(i, empty), CacheVector(j, empty.copy()),
-                   0.0, 0.0, -math.inf, 0.0, 0.0, 0.0, 0.0, feasible=False)
 
 
 class TabuState:
-    """Bounded FIFO memory of visited joint caches plus search bookkeeping."""
+    """Bounded FIFO memory of visited joint caches plus the incumbent's score
+    after each tabu iteration."""
 
     def __init__(self, maxlen: int) -> None:
         self.maxlen = maxlen
         self._order: deque[bytes] = deque()
         self._members: set[bytes] = set()
-        self.best_joint: np.ndarray | None = None
         self.best_score: float = -math.inf
-        self.current: np.ndarray | None = None
-        self.iteration: int = 0
         self.best_history: list[float] = []
 
     def add(self, joint: np.ndarray) -> None:
@@ -644,25 +635,22 @@ def solve_pair_subproblem(
     state = TabuState(TABU_LEN)
     scores, p_i, p_j = ctx.evaluate(joint[None, :])
     best = (joint.copy(), float(p_i[0]), float(p_j[0]))
-    state.best_joint = best[0]
     state.best_score = float(scores[0])
-    state.current = joint.copy()
     state.best_history.append(state.best_score)
+    current = joint
 
-    for it in range(params.max_iters):
-        state.iteration = it + 1
-        cands = neighborhood(state.current, params.sigma, state, scn, i, j)
+    for _ in range(params.max_iters):
+        cands = neighborhood(current, params.sigma, state, scn, i, j)
         if cands.shape[0] == 0:
             break
         scores, cand_pi, cand_pj = ctx.evaluate(cands)
         pick = int(np.argmax(scores))  # first max wins: deterministic
-        state.current = cands[pick].copy()
+        current = cands[pick].copy()
         if scores[pick] > state.best_score:
             state.best_score = float(scores[pick])
-            state.best_joint = state.current.copy()
-            best = (state.current.copy(), float(cand_pi[pick]), float(cand_pj[pick]))
+            best = (current.copy(), float(cand_pi[pick]), float(cand_pj[pick]))
         else:
-            state.add(state.current)
+            state.add(current)
         state.best_history.append(state.best_score)
         if len(state.best_history) > GROWTH_WINDOW:
             ref = state.best_history[-1 - GROWTH_WINDOW]

@@ -58,6 +58,12 @@ def channel_gain_from_distance(distance_m: float) -> float:
     return 10.0 ** (-path_loss_db / 10.0)
 
 
+def zipf_weights(ranks: np.ndarray, skew: float) -> np.ndarray:
+    """Un-normalized Zipf weights ``rank**-skew``, elementwise over ``ranks``;
+    also the per-KB semantic value weight."""
+    return np.asarray(ranks, dtype=float) ** -skew
+
+
 def zipf_probabilities(ranks: np.ndarray, skew: float) -> np.ndarray:
     """Zipf request probabilities for a full preference ranking.
 
@@ -74,9 +80,7 @@ def zipf_probabilities(ranks: np.ndarray, skew: float) -> np.ndarray:
     k = ranks.shape[0]
     if sorted(ranks.tolist()) != list(range(1, k + 1)):
         raise ValueError("ranks must be a permutation of 1..K")
-    weights = ranks.astype(float) ** -skew
-    norm = np.sum(np.arange(1, k + 1, dtype=float) ** -skew)
-    return weights / norm
+    return zipf_weights(ranks, skew) / np.sum(zipf_weights(np.arange(1, k + 1), skew))
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,18 @@ class ScenarioConfig:
         if not (0.0 < tlo <= thi):
             raise ValueError("interp_time_range must satisfy 0 < min <= max")
         # dBm -> watts happens here, exactly once; everything downstream is SI.
-        object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
-        object.__setattr__(self, "p_max_w", dbm_to_watts(self.p_max_dbm))
+        # A level so large it overflows, or so small it rounds to 0 W, is
+        # rejected: both end in NaN or division by zero downstream.
+        for name, watts_name in (("noise_dbm", "noise_w"), ("p_max_dbm", "p_max_w")):
+            value = getattr(self, name)
+            try:
+                watts = dbm_to_watts(value)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ValueError(f"{name} = {value!r} dBm is not a positive, "
+                                 "finite power in watts")
+            object.__setattr__(self, watts_name, watts)
 
 
 @dataclass(frozen=True)
@@ -175,7 +189,7 @@ class KbCatalog:
         interp_rates = np.asarray(interp_rates, dtype=float)
         user_probs = np.vstack([zipf_probabilities(row, user_skew) for row in user_ranks])
         eaves_probs = zipf_probabilities(eaves_ranks, eaves_skew)
-        user_weights = user_ranks.astype(float) ** -user_skew
+        user_weights = zipf_weights(user_ranks, user_skew)
         return cls(sizes, user_ranks, eaves_ranks, interp_rates,
                    user_probs, eaves_probs, user_weights)
 

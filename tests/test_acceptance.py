@@ -171,7 +171,7 @@ def test_criterion_3_two_stage_equals_brute_force():
         rho = np.ones(4)
         pairs = scn.eligible_pairs()
         sols = {p: solve_pair_subproblem(scn, p[0], p[1], tau, rho, params) for p in pairs}
-        omega = build_omega(sols, 4, pairs)
+        omega = build_omega(sols, 4)
         two_stage = matching_weight(omega, solve_dup(omega, mode="exact"))
         cell = {p: _pair_best(scn, p[0], p[1], tau, rho) for p in pairs}
         brute = max(sum(cell[p] for p in m) for m in _all_matchings(pairs))
@@ -242,7 +242,7 @@ def test_criterion_5_greedy_matching_half_bound():
         for i in range(10):
             for j in range(i + 1, 10):
                 mat[i, j] = mat[j, i] = rng.uniform(0.0, 100.0)
-        omega = OmegaMatrix(scores=mat, solutions={}, failed=())
+        omega = OmegaMatrix(scores=mat)
         greedy = matching_weight(omega, solve_dup(omega, mode="greedy"))
         exact = matching_weight(omega, solve_dup(omega, mode="exact"))
         assert greedy >= exact / 2.0 - 1e-9
@@ -254,7 +254,7 @@ def test_criterion_5_greedy_matching_half_bound():
     chain[0, 1] = chain[1, 0] = 10.0
     chain[1, 2] = chain[2, 1] = 18.0
     chain[2, 3] = chain[3, 2] = 10.0
-    omega = OmegaMatrix(scores=chain, solutions={}, failed=())
+    omega = OmegaMatrix(scores=chain)
     exact_chain = matching_weight(omega, solve_dup(omega, mode="exact"))
     greedy_chain = matching_weight(omega, solve_dup(omega, mode="greedy"))
     hand_ok = abs(exact_chain - 20.0) <= 1e-12 and greedy_chain >= 10.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import line_positions, make_hand_pair, make_scenario
-from sscn.baselines import BaselineKind, preference_first_kbc, run_baseline
+from sscn.baselines import preference_first_kbc, run_baseline
 from sscn.metrics import cache_fits, satisfaction
 from sscn.scenario import ScenarioConfig, generate_scenario
 
@@ -76,7 +76,7 @@ def test_unreachable_eta_is_reported_as_shortfall():
 
 def test_mpk_transmits_at_full_power():
     scn = _four_users_two_camps()
-    res = run_baseline(scn, BaselineKind.MPK, seed=1)
+    res = run_baseline(scn, "mpk", seed=1)
     assert np.all(res.powers == scn.config.p_max_w)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from sscn.expcli import (AXIS_FIELDS, CSV_HEADER, ConfigError, ResultRow,
 from sscn.pair_opt import PairOptParams
 from sscn.scenario import (ScenarioConfig, ScenarioFormatError, _config_items,
                            generate_scenario, load_scenario, save_scenario)
+
+REPO = Path(__file__).resolve().parents[1]
 
 FAST_SOLVER = ("[solver]\ndual_iters = 1\ntabu_iters = 3\n"
                "power_grid_points = 16\npower_refine = false\n")
@@ -229,6 +232,53 @@ def test_non_finite_values_exit_3(tmp_path, capsys, section, key, raw):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("config error: ") and f"{key} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("p_max_dbm", "1e10"), ("noise_dbm", "-1e4"), ("p_max_dbm", "-1e4"),
+])
+def test_power_levels_without_finite_positive_watts_exit_3(tmp_path, capsys, key, raw):
+    # 1e10 dBm overflows the conversion; -1e4 dBm rounds to 0 W
+    with pytest.raises(ValueError, match=f"{key} = .* not a positive, finite power"):
+        ScenarioConfig(**{key: float(raw)})
+    path = write(tmp_path, "cfg.ini", SCENARIO_4 + f"{key} = {raw}\n" + FAST_SOLVER)
+    assert main(["solve", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ") and key in captured.err
+
+
+def test_unknown_matching_mode_exits_3_before_any_pair_is_solved(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a pair subproblem ran before the mode was checked")
+
+    monkeypatch.setattr("sscn.dual.solve_pair_subproblem", no_solve)
+    path = write(tmp_path, "cfg.ini", SCENARIO_4 + FAST_SOLVER + "matching_mode = psychic\n")
+    assert main(["solve", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "matching_mode" in captured.err
+
+
+def _readme_ini_blocks():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+
+
+def test_readme_ini_examples_load(tmp_path):
+    # the README's values carry trailing "# ..." comments
+    blocks = _readme_ini_blocks()
+    assert len(blocks) == 2
+    scenario_block, sweep_block = blocks
+    path = write(tmp_path, "scenario.ini", scenario_block)
+    assert _scenario_config(_read_ini(path), path) == ScenarioConfig(num_users=20, num_kbs=8)
+    spec = load_sweep_spec(write(tmp_path, "sweep.ini", sweep_block))
+    assert spec.axis == "num_users" and spec.axis_values == (10, 20, 30, 40)
+    assert spec.variant == "capacity" and spec.variant_values == (24,)
+    assert spec.schemes == ("proposed", "rpd", "mpk")
+    assert spec.base.num_kbs == 8 and spec.solver.pair.max_iters == 4
 
 
 SWEEP_CELL = ("[sweep]\naxis = num_users\naxis_values = 4\n"

@@ -12,9 +12,7 @@ from sscn.pair_opt import PairSolution
 
 
 def omega_from_matrix(mat) -> OmegaMatrix:
-    """Score matrix -> OmegaMatrix with empty bookkeeping (matching only)."""
-    scores = np.asarray(mat, dtype=float)
-    return OmegaMatrix(scores=scores, solutions={}, failed=())
+    return OmegaMatrix(scores=np.asarray(mat, dtype=float))
 
 
 def matrix_from_pairs(m: int, entries: dict) -> np.ndarray:
@@ -71,33 +69,16 @@ def test_pairing_validate_checks_eligibility():
 
 def test_build_omega_symmetric_cells():
     sols = {(0, 1): _dummy_solution(0, 1, 4.5)}
-    omega = build_omega(sols, 2, [(0, 1)])
-    assert omega.score(0, 1) == 4.5
-    assert omega.score(1, 0) == 4.5
+    omega = build_omega(sols, 2)
+    assert omega.scores[0, 1] == 4.5
+    assert omega.scores[1, 0] == 4.5
     assert omega.scores[0, 0] == -math.inf
     assert omega.num_users == 2
-    assert omega.failed == ()
-    assert omega.solutions[(0, 1)] is sols[(0, 1)]
-
-
-def test_build_omega_requires_every_eligible_pair():
-    with pytest.raises(ValueError):
-        build_omega({}, 2, [(0, 1)])
-
-
-def test_build_omega_routes_infeasible_pairs_to_failed():
-    sols = {(0, 1): PairSolution.infeasible_pair(0, 1, 2),
-            (0, 2): _dummy_solution(0, 2, 3.0)}
-    omega = build_omega(sols, 3, [(0, 1), (0, 2)])
-    assert omega.failed == ((0, 1),)
-    assert omega.scores[0, 1] == -math.inf
-    assert (0, 1) not in omega.solutions
-    assert omega.score(0, 2) == 3.0
 
 
 def test_build_omega_ineligible_cells_stay_absent():
     sols = {(0, 1): _dummy_solution(0, 1, 1.0)}
-    omega = build_omega(sols, 4, [(0, 1)])
+    omega = build_omega(sols, 4)
     for i in range(4):
         for j in range(4):
             if {i, j} != {0, 1}:

@@ -7,7 +7,8 @@ from conftest import HAND, ZIPF3, assert_close, make_hand_pair, make_scenario
 from sscn.matching import Pairing
 from sscn.metrics import (CacheVector, cache_fits, cache_size, link_rates,
                           meets_eta, network_sst, pair_value_rates,
-                          satisfaction, semantic_weights, shannon_rate)
+                          satisfaction, shannon_rate)
+from sscn.scenario import zipf_weights
 
 
 # ---------------------------------------------------------------- rates
@@ -46,9 +47,9 @@ def test_link_rates_pairs_direct_and_leak():
 # ---------------------------------------------------------------- weights/satisfaction
 
 def test_semantic_weights_hand():
-    w = semantic_weights(np.array([1, 2, 4]), 1.0)
+    w = zipf_weights(np.array([1, 2, 4]), 1.0)
     assert np.allclose(w, [1.0, 0.5, 0.25], rtol=1e-15)
-    assert np.allclose(semantic_weights(np.array([1, 2, 3]), 0.0), 1.0, rtol=0)
+    assert np.allclose(zipf_weights(np.array([1, 2, 3]), 0.0), 1.0, rtol=0)
 
 
 def test_satisfaction_hand_values():

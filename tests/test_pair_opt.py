@@ -9,8 +9,8 @@ import pytest
 from conftest import HAND, ZIPF3, assert_close, make_hand_pair, make_scenario
 from sscn.dual import SolverParams, run_solver
 from sscn.metrics import ETA_SLACK, CacheVector, pair_value_rates
-from sscn.pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
-                           TabuState, _joint_cache_table, _PairContext,
+from sscn.pair_opt import (InfeasiblePairError, PairOptParams, TabuState,
+                           _joint_cache_table, _PairContext,
                            enumerate_pair_optimum,
                            greedy_single_cache, initial_kbc, neighborhood,
                            optimize_powers, pair_score, solve_pair_subproblem,
@@ -381,7 +381,6 @@ def test_subproblem_hand_pair_only_feasible_cache():
     assert_close(sol.score, 2.0 * HAND["v_s"], rel=1e-9)
     assert_close(sol.power_i, 1.0, rel=1e-9)
     assert_close(sol.secrecy_ij, HAND["v_s"], rel=1e-9)
-    assert sol.feasible
 
 
 @pytest.mark.parametrize("seed,num_kbs", [(1, 3), (2, 4), (3, 5), (4, 4)])
@@ -478,14 +477,6 @@ def test_warm_start_seed_validation_and_quality():
     warm_joint = np.concatenate((cold.cache_i.bits, cold.cache_j.bits))
     warm = solve_pair_subproblem(scn, 0, 1, tau, rho, initial=warm_joint)
     assert warm.score >= cold.score - 1e-9 * max(abs(cold.score), 1.0)
-
-
-def test_infeasible_pair_sentinel():
-    sentinel = PairSolution.infeasible_pair(2, 5, num_kbs=3)
-    assert not sentinel.feasible
-    assert sentinel.score == -math.inf
-    assert sentinel.cache_i.bits.tolist() == [0, 0, 0]
-    assert sentinel.i == 2 and sentinel.j == 5
 
 
 @pytest.mark.parametrize("kwargs", [

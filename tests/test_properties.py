@@ -145,7 +145,7 @@ def symmetric_scores(draw):
 @COMMON
 @given(mat=symmetric_scores())
 def test_greedy_matching_within_half_of_exact(mat):
-    omega = OmegaMatrix(scores=mat, solutions={}, failed=())
+    omega = OmegaMatrix(scores=mat)
     greedy = matching_weight(omega, solve_dup(omega, mode="greedy"))
     exact = matching_weight(omega, solve_dup(omega, mode="exact"))
     assert exact >= greedy - 1e-9
