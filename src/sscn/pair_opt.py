@@ -12,8 +12,10 @@ the score is separable in the two powers, so each direction is maximized by
 a dense grid search over [0, p_max] plus golden-section refinement, with the
 queue-unstable power region excluded.  The cache selection itself is handled
 by a tabu search over joint cache vectors seeded from a greedy
-satisfaction-first construction; an exhaustive enumerator over all joint
-caches doubles as the small-instance oracle.
+satisfaction-first construction.  The exact optimum, the tabu search's
+oracle, comes from a branch and bound over matched sets S = c_i & c_j
+(catalogs of up to 12 KBs, grid search only) or, with refinement, from a
+scan of every joint cache (up to 8 KBs).
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ GROWTH_EPS = 1.0e-4
 GROWTH_WINDOW = 10
 # golden-section refinement stops at this fraction of p_max
 POWER_TOL_FRAC = 1.0e-6
+# Largest catalogs of the exact search: the matched-set branch and bound
+# (grid search only) and the joint-cache table (with refinement).
+MATCHED_SET_MAX_KBS = 12
+TABLE_MAX_KBS = 8
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,8 @@ class PairOptParams:
     the tabu iteration budget.  Powers are searched on ``power_grid_points``
     levels and, when ``power_refine`` is set, golden-section refined to
     ``POWER_TOL_FRAC * p_max``.  ``exhaustive`` replaces the tabu search with
-    full joint-cache enumeration (small catalogs only).
+    the exact search of ``enumerate_pair_optimum``: catalogs of up to 12 KBs
+    without refinement, up to 8 with it.
     """
 
     sigma: int = 2
@@ -344,16 +351,6 @@ class _PairContext:
     def evaluate(self, cands: np.ndarray):
         """Scores and per-direction optimized powers for (n, 2K) candidates.
 
-        Each direction is maximized by a grid search over its stable power
-        interval plus golden-section refinement of the best grid bracket.
-        Both depend on the candidate only through the direction's five
-        coefficients, so each distinct coefficient row is grid searched once
-        per context, i.e. once per subproblem call, where prices are fixed.
-        The refinement's step count is set by the widest bracket in the
-        batch, so refined results are kept per (coefficients, step count).
-        The searches missing from both directions run together in one grid
-        pass and one golden-section pass.
-
         Keys are the exact coefficient bytes rather than the cache bits: a
         batched matrix product can round a row differently depending on the
         batch around it, and keying on its output keeps every result equal
@@ -363,7 +360,22 @@ class _PairContext:
         k = self.k
         ci, cj = cands[:, :k], cands[:, k:]
         matched = ci * cj
-        coeffs = (self._coeffs(ci, matched, 0), self._coeffs(cj, matched, 1))
+        out = self.search((self._coeffs(ci, matched, 0), self._coeffs(cj, matched, 1)))
+        return out[0][:, 0] + out[1][:, 0], out[0][:, 1], out[1][:, 1]
+
+    def search(self, coeffs):
+        """(n, 2) arrays of best (score, power), one per direction, for the
+        rows of that direction's search inputs (``_coeffs`` rows).
+
+        Each direction is maximized by a grid search over its stable power
+        interval plus golden-section refinement of the best grid bracket.
+        Both depend only on the row, so each distinct row is grid searched
+        once per context, i.e. once per subproblem call, where prices are
+        fixed.  The refinement's step count is set by the widest bracket in
+        the batch, so refined results are kept per (row, step count).  The
+        searches missing from both directions run together in one grid pass
+        and one golden-section pass.
+        """
         keys = [_row_keys(c) for c in coeffs]
         grid = self._memoised(self._grid_memo, keys, (0, 0), coeffs,
                               lambda cols, todo: np.column_stack(self._grid_search(cols)))
@@ -378,7 +390,7 @@ class _PairContext:
 
             refined = self._memoised(self._refine_memo, keys, iters, coeffs, refine)
             out = [o if r is None else r for o, r in zip(out, refined)]
-        return out[0][:, 0] + out[1][:, 0], out[0][:, 1], out[1][:, 1]
+        return out
 
     def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
         """Scalar (v_s, delay, stable) of one direction at a given power."""
@@ -550,26 +562,31 @@ def _flip_masks(length: int, sigma: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _joint_cache_table(num_kbs: int) -> np.ndarray:
-    """Read-only table of all 2^(2K) joint caches, in the row order of
-    ``itertools.product((0, 1), repeat=2K)`` (first column most significant)."""
-    width = 2 * num_kbs
+def _cache_table(width: int) -> np.ndarray:
+    """Read-only table of all 2^width 0/1 rows, in the row order of
+    ``itertools.product((0, 1), repeat=width)`` (first column most
+    significant), so row n holds the bits of code n.  Width K lists one
+    user's caches, width 2K the joint caches of a pair."""
     codes = np.arange(1 << width)[:, None]
     table = ((codes >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
     table.flags.writeable = False
     return table
 
 
-def _feasible(cands: np.ndarray, scn: Scenario, i: int, j: int) -> np.ndarray:
-    """Mask of the (n, 2K) joint caches whose halves both fit the capacity and
-    reach eta_min for user i (first half) and user j (second half)."""
+def _cache_feasible(caches: np.ndarray, scn: Scenario, user: int) -> np.ndarray:
+    """Mask of the (n, K) float caches that fit the capacity and reach
+    eta_min for ``user``."""
     cfg, cat = scn.config, scn.catalog
+    return ((caches @ cat.sizes.astype(float) <= cfg.capacity)
+            & (caches @ cat.user_probs[user] >= cfg.eta_min - ETA_SLACK))
+
+
+def _feasible(cands: np.ndarray, scn: Scenario, i: int, j: int) -> np.ndarray:
+    """Mask of the (n, 2K) joint caches whose halves are feasible for user i
+    (first half) and user j (second half)."""
+    k = scn.config.num_kbs
     cands = np.asarray(cands, dtype=float)
-    ci, cj = cands[:, :cfg.num_kbs], cands[:, cfg.num_kbs:]
-    sizes = cat.sizes.astype(float)
-    eta_floor = cfg.eta_min - ETA_SLACK
-    return ((ci @ sizes <= cfg.capacity) & (cj @ sizes <= cfg.capacity)
-            & (ci @ cat.user_probs[i] >= eta_floor) & (cj @ cat.user_probs[j] >= eta_floor))
+    return _cache_feasible(cands[:, :k], scn, i) & _cache_feasible(cands[:, k:], scn, j)
 
 
 def neighborhood(
@@ -583,25 +600,209 @@ def neighborhood(
     return cands[_feasible(cands, scn, i, j)]
 
 
+def _no_joint_cache(scn: Scenario, i: int, j: int) -> InfeasiblePairError:
+    return InfeasiblePairError(
+        f"pair ({i}, {j}) has no feasible joint cache for eta_min={scn.config.eta_min}")
+
+
+def _enumerate_table(
+    scn: Scenario, i: int, j: int,
+    tau: np.ndarray, rho: np.ndarray, params: PairOptParams,
+) -> PairSolution:
+    """Scan of every feasible joint cache; the product-order first maximum
+    wins.  Catalogs of up to TABLE_MAX_KBS KBs."""
+    k = scn.config.num_kbs
+    if k > TABLE_MAX_KBS:
+        raise ValueError(f"the joint-cache scan is limited to num_kbs <= {TABLE_MAX_KBS}")
+    cands = _cache_table(2 * k)
+    cands = cands[_feasible(cands, scn, i, j)]
+    if cands.shape[0] == 0:
+        raise _no_joint_cache(scn, i, j)
+    ctx = _PairContext(scn, i, j, tau, rho, params)
+    scores, p_i, p_j = ctx.evaluate(cands)
+    idx = int(np.argmax(scores))
+    return ctx.finalize(cands[idx], float(p_i[idx]), float(p_j[idx]))
+
+
+def _superset_min(leak: np.ndarray, feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every mask S of the 2^K caches (indexed by code), the code of the
+    least-leak feasible cache containing S, ties to the lower code, and the
+    lowest feasible code containing S; 2^K where no feasible cache contains
+    S.  Each of K passes folds every mask holding one KB into the mask
+    without it: the min form of the superset zeta transform (Yates 1937)."""
+    n = leak.shape[0]
+    codes = np.arange(n)
+    order = np.lexsort((codes, leak))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = codes
+    # row 0: rank in (leak, code) order; row 1: code; n marks infeasible
+    best = np.where(feasible, np.vstack((rank, codes)), n)
+    half = 1
+    while half < n:
+        folded = best.reshape(2, -1, 2, half)
+        np.minimum(folded[:, :, 0], folded[:, :, 1], out=folded[:, :, 0])
+        half *= 2
+    return np.append(order, n)[best[0]], best[1]
+
+
+def _with_leak(rows: np.ndarray, sets, caches) -> np.ndarray:
+    """One direction's search inputs for matched sets ``sets`` sent from
+    caches ``caches``; ``rows[c]`` holds its inputs for matched set c sent
+    from cache c."""
+    out = rows[sets]
+    out[:, 1] = rows[caches, 1]
+    return out
+
+
+def _best_completion(ctx: _PairContext, rows, feasible, s: int, tops, floor: float):
+    """Best (score, code_i, code_j, power_i, power_j) among the joint caches
+    whose matched set is exactly ``s`` and whose score is at least
+    ``floor``, ties to the lower (code_i, code_j); None if there is none.
+
+    ``tops[w]`` is direction w's (score, power) at its least-leak completion
+    of ``s``.  A direction's score is nonincreasing in the sender's leak, so
+    each user's completions are searched in leak order, and only while,
+    added to the other direction's top score, they can still reach
+    ``floor``.  A direction silent at its least leak is silent at every leak.
+    """
+    codes = np.arange(feasible[0].shape[0])
+    members = []
+    for w in (0, 1):
+        m = np.flatnonzero(feasible[w] & ((codes & s) == s))
+        members.append(m[np.lexsort((m, rows[w][m, 1]))])
+    if floor < tops[0][0] + tops[1][0]:
+        # each user's least-leak completion with the other's least-leak
+        # disjoint one is a joint cache of this set, so its score is a floor
+        partners = [m[(m & members[1 - w][0]) == s][:1] for w, m in enumerate(members)]
+        got = ctx.search([_with_leak(rows[w], np.full(len(p), s), p)
+                          for w, p in enumerate(partners)])
+        for w in (0, 1):
+            if len(partners[w]):
+                floor = max(floor, float(got[w][0, 0] + tops[1 - w][0]))
+    done, scores, searching = [0, 0], [[], []], [True, True]
+    for w, m in enumerate(members):
+        if tops[w][1] == 0.0:
+            done[w] = len(m) if tops[1 - w][0] >= floor else 0
+            scores[w].append(np.zeros((done[w], 2)))
+            searching[w] = False
+    size = 2
+    while any(searching):
+        chunks = [members[w][done[w]:done[w] + (size if searching[w] else 0)] for w in (0, 1)]
+        out = ctx.search([_with_leak(rows[w], np.full(len(c), s), c)
+                          for w, c in enumerate(chunks)])
+        for w in (0, 1):
+            if searching[w]:
+                ok = out[w][:, 0] + tops[1 - w][0] >= floor
+                cut = len(ok) if ok.all() else int(np.argmin(ok))
+                scores[w].append(out[w][:cut])
+                done[w] += cut
+                searching[w] = cut == size and done[w] < len(members[w])
+        size = min(4 * size, 1024)
+    ci, cj = (members[w][:done[w]] for w in (0, 1))
+    gi, gj = (np.concatenate(scores[w]) for w in (0, 1))
+    if not (len(ci) and len(cj)):
+        return None
+    n = len(codes)
+    best = None
+    step = max(1, (1 << 20) // len(cj))
+    for lo in range(0, len(ci), step):
+        x = ci[lo:lo + step]
+        total = gi[lo:lo + step, 0, None] + gj[None, :, 0]
+        total[(x[:, None] & cj[None, :]) != s] = -np.inf
+        top = total.max()
+        if top == -np.inf or top < floor:
+            continue
+        r, c = np.nonzero(total == top)
+        joint = x[r] * n + cj[c]
+        pick = int(np.argmin(joint))
+        cand = (float(top), int(x[r[pick]]), int(cj[c[pick]]),
+                float(gi[lo + r[pick], 1]), float(gj[c[pick], 1]))
+        if best is None or (-cand[0], cand[1:3]) < (-best[0], best[1:3]):
+            best = cand
+    return best
+
+
+def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
+    """Grid-search optimum over every feasible joint cache, by branch and
+    bound over matched sets S = c_i & c_j (Land & Doig 1960).
+
+    S fixes a direction's legit, share, interp and interp_sq coefficients
+    and its stable power interval, which reads only interp and gain_d; the
+    sender's leak is the one coefficient left, and the score at every grid
+    power, hence the grid maximum, is nonincreasing in it.  So the bound
+    R(S) = f_ij(S, least leak of i over feasible c_i >= S)
+         + f_ji(S, least leak of j over feasible c_j >= S)
+    holds for every joint cache matching in S, and is attained when the two
+    least-leak caches meet exactly in S.  Sets are opened in descending R
+    until R drops below the best score found; a set whose least-leak caches
+    overlap elsewhere, or where a lower code may tie, is searched over its
+    completions.  Ties go to the lowest (c_i, c_j) code, the product-order
+    first maximum of ``_enumerate_table``.
+    """
+    scn, k = ctx.scn, ctx.k
+    table = _cache_table(k)
+    bits = table.astype(float)
+    n = bits.shape[0]
+    feasible = [_cache_feasible(bits, scn, user) for user in (ctx.i, ctx.j)]
+    if not (feasible[0].any() and feasible[1].any()):
+        raise _no_joint_cache(scn, ctx.i, ctx.j)
+    if feasible[0].sum() == feasible[1].sum() == 1:
+        # numpy takes a one-row product as a dot, which rounds unlike a
+        # batch; score the one joint cache as the table scan does
+        joint = table[[int(np.argmax(feasible[0])), int(np.argmax(feasible[1]))]].ravel()
+        _, p_i, p_j = ctx.evaluate(joint[None, :])
+        return ctx.finalize(joint, float(p_i[0]), float(p_j[0]))
+    # rows[w][c]: direction w's search inputs with matched set c sent from cache c
+    rows = [ctx._coeffs(bits, bits, w) for w in (0, 1)]
+    (arg_i, low_i), (arg_j, low_j) = (_superset_min(rows[w][:, 1], feasible[w]) for w in (0, 1))
+    sets = np.flatnonzero((arg_i < n) & (arg_j < n))
+    a_i, a_j = arg_i[sets], arg_j[sets]
+    f_ij, f_ji = ctx.search((_with_leak(rows[0], sets, a_i), _with_leak(rows[1], sets, a_j)))
+    bound = f_ij[:, 0] + f_ji[:, 0]
+    if bound.max() == 0.0:
+        # every joint cache scores 0 at power 0: the lowest feasible code wins
+        return ctx.finalize(table[[low_i[0], low_j[0]]].ravel(), 0.0, 0.0)
+    meets = (a_i & a_j) == sets
+    lowest = meets & (low_i[sets] == a_i) & (low_j[sets] == a_j)
+    floor = float(bound[meets].max()) if meets.any() else -math.inf
+    best = None  # (score, code_i, code_j, power_i, power_j)
+    for node in np.argsort(-bound, kind="stable"):
+        if bound[node] < floor:
+            break
+        if lowest[node]:
+            found = (float(bound[node]), int(a_i[node]), int(a_j[node]),
+                     float(f_ij[node, 1]), float(f_ji[node, 1]))
+        else:
+            found = _best_completion(ctx, rows, feasible, int(sets[node]),
+                                     (f_ij[node], f_ji[node]),
+                                     float(bound[node]) if meets[node] else floor)
+        if found is not None and (best is None
+                                  or (-found[0], found[1:3]) < (-best[0], best[1:3])):
+            best = found
+            floor = max(floor, found[0])
+    return ctx.finalize(table[list(best[1:3])].ravel(), best[3], best[4])
+
+
 def enumerate_pair_optimum(
     scn: Scenario, i: int, j: int,
     tau: np.ndarray, rho: np.ndarray,
     params: PairOptParams | None = None,
 ) -> PairSolution:
-    """Exhaustive joint-cache search (oracle; catalogs of up to 8 KBs)."""
+    """Exact joint-cache optimum (the tabu search's oracle): the maximum over
+    every feasible joint cache, ties to the product-order first.
+
+    Without power refinement this is the matched-set branch and bound,
+    catalogs of up to MATCHED_SET_MAX_KBS KBs.  Refined scores depend on the
+    batch they are refined in, so with refinement every joint cache is
+    scored in one batch, catalogs of up to TABLE_MAX_KBS KBs.
+    """
     params = params or PairOptParams()
-    k = scn.config.num_kbs
-    if 2 * k > 16:
-        raise ValueError("exhaustive search is limited to num_kbs <= 8")
-    cands = _joint_cache_table(k)
-    cands = cands[_feasible(cands, scn, i, j)]
-    if cands.shape[0] == 0:
-        raise InfeasiblePairError(
-            f"pair ({i}, {j}) has no feasible joint cache for eta_min={scn.config.eta_min}")
-    ctx = _PairContext(scn, i, j, tau, rho, params)
-    scores, p_i, p_j = ctx.evaluate(cands)
-    idx = int(np.argmax(scores))
-    return ctx.finalize(cands[idx], float(p_i[idx]), float(p_j[idx]))
+    if params.power_refine:
+        return _enumerate_table(scn, i, j, tau, rho, params)
+    if scn.config.num_kbs > MATCHED_SET_MAX_KBS:
+        raise ValueError(
+            f"exhaustive search is limited to num_kbs <= {MATCHED_SET_MAX_KBS}")
+    return _matched_set_optimum(_PairContext(scn, i, j, tau, rho, params))
 
 
 def solve_pair_subproblem(
@@ -618,7 +819,7 @@ def solve_pair_subproblem(
     neighbor each iteration (accepting downhill moves), records non-improving
     visits in the tabu memory, and stops on the iteration budget, an empty
     neighborhood, or stagnation of the incumbent.  With ``params.exhaustive``
-    the tabu search is replaced by full enumeration.
+    the tabu search is replaced by the exact ``enumerate_pair_optimum``.
     """
     params = params or PairOptParams()
     if params.exhaustive:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -26,6 +27,10 @@ import numpy as np
 # Attempts to draw a topology where every user has at least one eligible
 # neighbor before generation gives up.
 MAX_TOPOLOGY_DRAWS = 100
+# Longest accepted interpretation time (seconds per packet).  Queueing delay
+# squares it and multiplies the square by a rate; far beyond any physical
+# time, this keeps both finite.
+MAX_INTERP_TIME_S = 1.0e100
 
 
 class ScenarioGenerationError(RuntimeError):
@@ -124,6 +129,9 @@ class ScenarioConfig:
         for name in ("cell_radius_m", "bandwidth_hz", "packet_bits"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if channel_gain_from_distance(2.0 * self.cell_radius_m) < sys.float_info.min:
+            raise ValueError(f"cell_radius_m = {self.cell_radius_m!r} m is too large: the "
+                             "path-loss gain across the cell underflows")
         if self.snr_threshold < 0 or self.user_skew < 0 or self.eaves_skew < 0:
             raise ValueError("snr_threshold and skews must be nonnegative")
         if not 0.0 <= self.eta_min <= 1.0:
@@ -138,18 +146,21 @@ class ScenarioConfig:
         tlo, thi = self.interp_time_range
         if not (0.0 < tlo <= thi):
             raise ValueError("interp_time_range must satisfy 0 < min <= max")
+        if thi > MAX_INTERP_TIME_S:
+            raise ValueError(f"interp_time_max = {thi!r} s exceeds {MAX_INTERP_TIME_S!r} s")
         # dBm -> watts happens here, exactly once; everything downstream is SI.
-        # A level so large it overflows, or so small it rounds to 0 W, is
-        # rejected: both end in NaN or division by zero downstream.
+        # A level so large it overflows, or so small it rounds to 0 W or to a
+        # subnormal float, is rejected: each ends in NaN, division by zero or
+        # an overflowing SNR downstream.
         for name, watts_name in (("noise_dbm", "noise_w"), ("p_max_dbm", "p_max_w")):
             value = getattr(self, name)
             try:
                 watts = dbm_to_watts(value)
             except OverflowError:
                 watts = math.inf
-            if not 0.0 < watts < math.inf:
-                raise ValueError(f"{name} = {value!r} dBm is not a positive, "
-                                 "finite power in watts")
+            if not sys.float_info.min <= watts < math.inf:
+                raise ValueError(f"{name} = {value!r} dBm is not a positive, finite power "
+                                 f"in watts of at least {sys.float_info.min!r} W")
             object.__setattr__(self, watts_name, watts)
 
 

@@ -234,14 +234,34 @@ def test_non_finite_values_exit_3(tmp_path, capsys, section, key, raw):
     assert captured.err.startswith("config error: ") and f"{key} must be finite" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("key,raw", [
     ("p_max_dbm", "1e10"), ("noise_dbm", "-1e4"), ("p_max_dbm", "-1e4"),
+    ("noise_dbm", "-3200"),
 ])
 def test_power_levels_without_finite_positive_watts_exit_3(tmp_path, capsys, key, raw):
-    # 1e10 dBm overflows the conversion; -1e4 dBm rounds to 0 W
+    # 1e10 dBm overflows the conversion; -1e4 dBm rounds to 0 W; -3200 dBm
+    # is a subnormal 1e-323 W, over which every SNR overflows
     with pytest.raises(ValueError, match=f"{key} = .* not a positive, finite power"):
         ScenarioConfig(**{key: float(raw)})
     path = write(tmp_path, "cfg.ini", SCENARIO_4 + f"{key} = {raw}\n" + FAST_SOLVER)
+    assert main(["solve", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ") and key in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key,lines", [
+    # an interpretation time this long overflows its square
+    ("interp_time_max", "interp_time_min = 1e300\ninterp_time_max = 1e300\n"),
+    # a cell this wide underflows the path-loss gain to 0
+    ("cell_radius_m", "cell_radius_m = 1e300\n"),
+])
+def test_scenario_scales_that_overflow_exit_3(tmp_path, capsys, key, lines):
+    scenario = SCENARIO_4.replace("cell_radius_m = 40.0\n", "") + lines
+    path = write(tmp_path, "cfg.ini", scenario + FAST_SOLVER)
     assert main(["solve", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,7 +10,7 @@ from conftest import HAND, ZIPF3, assert_close, make_hand_pair, make_scenario
 from sscn.dual import SolverParams, run_solver
 from sscn.metrics import ETA_SLACK, CacheVector, pair_value_rates
 from sscn.pair_opt import (InfeasiblePairError, PairOptParams, TabuState,
-                           _joint_cache_table, _PairContext,
+                           _cache_table, _enumerate_table, _PairContext,
                            enumerate_pair_optimum,
                            greedy_single_cache, initial_kbc, neighborhood,
                            optimize_powers, pair_score, solve_pair_subproblem,
@@ -321,7 +321,7 @@ def test_evaluate_full_table_memo_hits_match_fresh_context(refine, monkeypatch):
     tau = np.array([3.0, 40.0])
     rho = np.array([0.25, 2.0])
     params = PairOptParams(power_grid_points=32, power_refine=refine)
-    table = _joint_cache_table(6)
+    table = _cache_table(12)
     assert table.shape[0] == 4096
     ci, cj = table[:, :6], table[:, 6:]
     assert len({(a.tobytes(), (a & b).tobytes()) for a, b in zip(ci, cj)}) < 4096
@@ -433,12 +433,12 @@ def test_exhaustive_param_equals_enumerator():
 
 @pytest.mark.parametrize("num_kbs", [1, 3])
 def test_joint_cache_table_is_product_order_and_read_only(num_kbs):
-    table = _joint_cache_table(num_kbs)
+    table = _cache_table(2 * num_kbs)
     expect = list(itertools.product((0, 1), repeat=2 * num_kbs))
     assert table.dtype == np.uint8
     assert [tuple(row) for row in table.tolist()] == expect
     assert not table.flags.writeable
-    assert _joint_cache_table(num_kbs) is table
+    assert _cache_table(2 * num_kbs) is table
 
 
 def test_enumerator_rejects_large_catalogs():
@@ -447,6 +447,83 @@ def test_enumerator_rejects_large_catalogs():
                         sizes=[1] * 9, interp_rates=[[200.0] * 9] * 2)
     with pytest.raises(ValueError):
         enumerate_pair_optimum(scn, 0, 1, np.zeros(2), np.zeros(2))
+
+
+def _exact_outcome(search, scn, tau, rho, params):
+    """Every field of ``search``'s PairSolution, or its InfeasiblePairError text."""
+    try:
+        sol = search(scn, 0, 1, tau, rho, params)
+    except InfeasiblePairError as exc:
+        return str(exc)
+    return (sol.i, sol.j, sol.cache_i.bits.tolist(), sol.cache_j.bits.tolist(),
+            sol.power_i, sol.power_j, sol.score, sol.secrecy_ij, sol.secrecy_ji,
+            sol.delay_ij, sol.delay_ji)
+
+
+# (config, tau, rho, grid points) of pairs that take the exact search off
+# its main path.  In the first three a silent direction (best power 0, so
+# its leak does not matter) makes several joint caches tie: within one
+# matched set, and across sets when every joint cache scores 0.  The last
+# has one feasible joint cache, which numpy scores as a one-row product.
+EDGE_CASES = [
+    (dict(num_kbs=5, cell_radius_m=300.0, rng_seed=477730046),
+     [40864.297, 34898.986], [4.9741491, 2.5817409], 5),
+    (dict(num_kbs=5, cell_radius_m=300.0, rng_seed=262403145),
+     [0.3245296, 0.89519088], [0.0, 0.0], 3),
+    (dict(num_kbs=8, cell_radius_m=50.0, rng_seed=165109323, eta_min=0.72152202,
+          capacity=11, user_skew=0.0, eaves_skew=0.0),
+     [559.04370, 985.88642], [3.0213537, 2.6036187], 2),
+    (dict(num_kbs=4, cell_radius_m=300.0, rng_seed=895711521, eta_min=0.79497155,
+          capacity=12),
+     [0.85780057, 0.33709714], [1.7969001, 0.04835384], 32),
+]
+
+
+def test_matched_set_search_equals_table_enumeration():
+    # Without refinement the matched-set branch and bound must return the
+    # table scan's answer bit for bit: the same error for an infeasible pair,
+    # else the same caches (ties to the product-order first maximum),
+    # powers, score and per-direction reports.
+    grid = PairOptParams(power_grid_points=32, power_refine=False)
+    cases = [(make_hand_pair(), np.zeros(2), np.zeros(2), grid)]
+    cases += [(generate_scenario(ScenarioConfig(num_users=2, **cfg)), np.array(tau),
+               np.array(rho), PairOptParams(power_grid_points=levels, power_refine=False))
+              for cfg, tau, rho, levels in EDGE_CASES]
+    rng = np.random.default_rng(77)
+    for num_kbs in (1, 3, 5, 6, 8):
+        for case in range(8):
+            tight = (dict(eta_min=float(rng.uniform(0.75, 0.8)),
+                          capacity=int(rng.integers(10, 13))) if case % 2 else {})
+            scn = generate_scenario(ScenarioConfig(
+                num_users=2, num_kbs=num_kbs, cell_radius_m=50.0,
+                rng_seed=int(rng.integers(2**31)), **tight))
+            tau = rng.choice([0.0, 1.0, 1e3, 1e5]) * rng.random(2)
+            rho = rng.choice([0.0, 1.0, 5.0]) * rng.random(2)
+            cases.append((scn, tau, rho, grid))
+    outcomes = []
+    for scn, tau, rho, params in cases:
+        want = _exact_outcome(_enumerate_table, scn, tau, rho, params)
+        assert _exact_outcome(enumerate_pair_optimum, scn, tau, rho, params) == want
+        outcomes.append(want)
+    # premises: infeasible pairs, and answers with a silent direction
+    assert sum(isinstance(out, str) for out in outcomes) >= 3
+    assert sum(not isinstance(out, str) and 0.0 in out[4:6] for out in outcomes) >= 5
+
+
+def test_tabu_close_to_exact_at_twelve_kbs():
+    # the library-default catalog size, beyond the joint-cache table's reach:
+    # the exact search bounds every tabu score, and tabu stays within 2 %
+    params = PairOptParams(power_grid_points=32, power_refine=False)
+    ratios = []
+    for seed in range(9000, 9012):
+        scn = generate_scenario(ScenarioConfig(num_users=2, num_kbs=12,
+                                               cell_radius_m=50.0, rng_seed=seed))
+        tau, rho = np.ones(2), np.ones(2)
+        exact = enumerate_pair_optimum(scn, 0, 1, tau, rho, params)
+        tabu = solve_pair_subproblem(scn, 0, 1, tau, rho, params)
+        assert tabu.score <= exact.score + 1e-12 * abs(exact.score)
+        ratios.append(tabu.score / exact.score)
+    assert min(ratios) >= 0.98
 
 
 def test_solution_score_matches_scalar_recomputation():
