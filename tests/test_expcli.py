@@ -234,17 +234,29 @@ def test_non_finite_values_exit_3(tmp_path, capsys, section, key, raw):
     assert captured.err.startswith("config error: ") and f"{key} must be finite" in captured.err
 
 
+NOT_WATTS = "not a positive, finite power"
+SNR_OVERFLOW = "overflows the SNR"
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("key,raw", [
-    ("p_max_dbm", "1e10"), ("noise_dbm", "-1e4"), ("p_max_dbm", "-1e4"),
-    ("noise_dbm", "-3200"),
+@pytest.mark.parametrize("key,levels,message", [
+    pytest.param("p_max_dbm", {"p_max_dbm": "1e10"}, NOT_WATTS, id="p_max_dbm-1e10"),
+    pytest.param("noise_dbm", {"noise_dbm": "-1e4"}, NOT_WATTS, id="noise_dbm--1e4"),
+    pytest.param("p_max_dbm", {"p_max_dbm": "-1e4"}, NOT_WATTS, id="p_max_dbm--1e4"),
+    pytest.param("noise_dbm", {"noise_dbm": "-3200"}, NOT_WATTS, id="noise_dbm--3200"),
+    pytest.param("p_max_dbm", {"p_max_dbm": "3100"}, SNR_OVERFLOW, id="p_max_dbm-3100"),
+    pytest.param("noise_dbm", {"noise_dbm": "-3000", "p_max_dbm": "3000"}, SNR_OVERFLOW,
+                 id="noise_dbm--3000-p_max_dbm-3000"),
 ])
-def test_power_levels_without_finite_positive_watts_exit_3(tmp_path, capsys, key, raw):
+def test_power_levels_without_finite_positive_watts_exit_3(tmp_path, capsys, key, levels,
+                                                           message):
     # 1e10 dBm overflows the conversion; -1e4 dBm rounds to 0 W; -3200 dBm
-    # is a subnormal 1e-323 W, over which every SNR overflows
-    with pytest.raises(ValueError, match=f"{key} = .* not a positive, finite power"):
-        ScenarioConfig(**{key: float(raw)})
-    path = write(tmp_path, "cfg.ini", SCENARIO_4 + f"{key} = {raw}\n" + FAST_SOLVER)
+    # is a subnormal 1e-323 W, over which every SNR overflows.  The last two
+    # are finite watts whose ratio p_max / noise overflows.
+    with pytest.raises(ValueError, match=f"{key} = .* {message}"):
+        ScenarioConfig(**{name: float(raw) for name, raw in levels.items()})
+    lines = "".join(f"{name} = {raw}\n" for name, raw in levels.items())
+    path = write(tmp_path, "cfg.ini", SCENARIO_4 + lines + FAST_SOLVER)
     assert main(["solve", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,10 +286,11 @@ def test_tabu_state_fifo_eviction():
 # ------------------------------------------------------ candidate evaluation
 
 def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
-    # The golden-section step count of a batch depends on its widest grid
-    # bracket, so one candidate may be refined differently in two batches.
-    # Repeated rows, repeated batches and overlapping batches must all score
-    # exactly as a context that has seen nothing else.
+    # A batched matrix product can round a candidate's coefficients
+    # differently depending on the batch around it, so one candidate may be
+    # searched from different coefficients in two batches.  Repeated rows,
+    # repeated batches and overlapping batches must all score exactly as a
+    # context that has seen nothing else.
     scn = _small_generated(seed=3, num_kbs=5)
     tau = np.array([20.0, 5.0])
     rho = np.array([0.5, 1.0])
@@ -298,7 +300,6 @@ def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
     cands = neighborhood(start, 2, TabuState(8), scn, 0, 1)
     assert cands.shape[0] >= 8
     ctx = _PairContext(scn, 0, 1, tau, rho, params)
-    singles = [ctx.evaluate(row[None, :]) for row in cands]
     batches = [np.vstack((cands, cands[:4], cands[::-1])),
                cands[1::2], cands[::3], np.vstack((cands[:1], cands[:1]))]
     for batch in batches + batches:
@@ -306,10 +307,19 @@ def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
         want = _PairContext(scn, 0, 1, tau, rho, params).evaluate(batch)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    # premise: some candidate is refined differently alone and in a batch
-    full = _PairContext(scn, 0, 1, tau, rho, params).evaluate(cands)
-    assert any(single[1][0] != full[1][n] or single[2][0] != full[2][n]
-               for n, single in enumerate(singles))
+    # premise: some candidate's coefficients round differently alone and in
+    # a batch
+    ci, cj = cands[:, :5].astype(float), cands[:, 5:].astype(float)
+    rows = [ctx._coeffs(ci, ci * cj, 0), ctx._coeffs(cj, ci * cj, 1)]
+    assert any(not np.array_equal(ctx._coeffs((ci, cj)[w][n], ci[n] * cj[n], w), rows[w][n])
+               for n in range(len(cands)) for w in (0, 1))
+    # a refined search depends on its own row alone: each coefficient row
+    # gets the same bits searched alone as inside the whole batch
+    whole = _PairContext(scn, 0, 1, tau, rho, params).search(rows)
+    for n in range(len(cands)):
+        alone = _PairContext(scn, 0, 1, tau, rho, params).search([r[n:n + 1] for r in rows])
+        for a, w in zip(alone, whole):
+            assert np.array_equal(a[0], w[n])
 
 
 @pytest.mark.parametrize("refine", [False, True])
@@ -341,18 +351,18 @@ def test_evaluate_full_table_memo_hits_match_fresh_context(refine, monkeypatch):
 
 
 # run_solver outputs with the default SolverParams (apart from dual_iters=2)
-# on two small scenarios, recorded from the unmemoised per-direction power
-# search; every later evaluation scheme must reproduce them.
+# on two small scenarios, recorded with the fixed golden-section step count;
+# every later evaluation scheme must reproduce them.
 SOLVER_FINGERPRINTS = [
     (dict(num_users=6, num_kbs=5, cell_radius_m=100.0, rng_seed=11),
-     477.8951258389134,
-     [0.00013632358867825742, 0.010733645790248238, 0.00023641048432449473,
-      0.0011480559503825654, 0.00044101524441383586, 0.013382079704413005],
+     477.89520343133324,
+     [0.00013632355817064335, 0.010733645790248238, 0.00023641048432449473,
+      0.0011480564204657327, 0.00044101575696967255, 0.013382082749726267],
      ["11000", "10100", "00011", "10111", "00011", "10100"]),
     (dict(num_users=8, num_kbs=8, rng_seed=12),
-     715.3009873925189,
-     [0.0, 0.11460897103099191, 0.000798787643336314, 0.08756969563489489,
-      0.0, 0.014347839069267095, 0.014348280816444181, 0.0007686617082489045],
+     715.3013330881281,
+     [0.0, 0.11460897103099191, 0.000798787643336314, 0.08756991044273543,
+      0.0, 0.014347880201066471, 0.01434828632113516, 0.0007686617082489045],
      ["10000100", "00010110", "01100100", "00110100", "00010001", "00010010",
       "10100010", "01000110"]),
 ]
@@ -442,11 +452,13 @@ def test_joint_cache_table_is_product_order_and_read_only(num_kbs):
 
 
 def test_enumerator_rejects_large_catalogs():
-    scn = make_scenario(user_ranks=[list(range(1, 10))] * 2,
-                        eaves_ranks=list(range(1, 10)),
-                        sizes=[1] * 9, interp_rates=[[200.0] * 9] * 2)
-    with pytest.raises(ValueError):
-        enumerate_pair_optimum(scn, 0, 1, np.zeros(2), np.zeros(2))
+    # the exact search stops past 12 KBs, its reference table scan past 8
+    for search, num_kbs in ((enumerate_pair_optimum, 13), (_enumerate_table, 9)):
+        scn = make_scenario(user_ranks=[list(range(1, num_kbs + 1))] * 2,
+                            eaves_ranks=list(range(1, num_kbs + 1)),
+                            sizes=[1] * num_kbs, interp_rates=[[200.0] * num_kbs] * 2)
+        with pytest.raises(ValueError):
+            search(scn, 0, 1, np.zeros(2), np.zeros(2), PairOptParams())
 
 
 def _exact_outcome(search, scn, tau, rho, params):
@@ -480,10 +492,12 @@ EDGE_CASES = [
 
 
 def test_matched_set_search_equals_table_enumeration():
-    # Without refinement the matched-set branch and bound must return the
-    # table scan's answer bit for bit: the same error for an infeasible pair,
-    # else the same caches (ties to the product-order first maximum),
-    # powers, score and per-direction reports.
+    # The matched-set branch and bound must return the table scan's answer
+    # bit for bit: the same error for an infeasible pair, else the same
+    # caches (ties to the product-order first maximum), powers, score and
+    # per-direction reports.  Each case runs on its own grid without
+    # refinement, and with refinement on its own grid and on 32, 64 and 256
+    # levels.
     grid = PairOptParams(power_grid_points=32, power_refine=False)
     cases = [(make_hand_pair(), np.zeros(2), np.zeros(2), grid)]
     cases += [(generate_scenario(ScenarioConfig(num_users=2, **cfg)), np.array(tau),
@@ -505,6 +519,10 @@ def test_matched_set_search_equals_table_enumeration():
         want = _exact_outcome(_enumerate_table, scn, tau, rho, params)
         assert _exact_outcome(enumerate_pair_optimum, scn, tau, rho, params) == want
         outcomes.append(want)
+        for levels in sorted({params.power_grid_points, 32, 64, 256}):
+            refined = replace(params, power_grid_points=levels, power_refine=True)
+            assert (_exact_outcome(enumerate_pair_optimum, scn, tau, rho, refined)
+                    == _exact_outcome(_enumerate_table, scn, tau, rho, refined))
     # premises: infeasible pairs, and answers with a silent direction
     assert sum(isinstance(out, str) for out in outcomes) >= 3
     assert sum(not isinstance(out, str) and 0.0 in out[4:6] for out in outcomes) >= 5
