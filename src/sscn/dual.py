@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matching import MODES, Pairing, build_omega, matching_weight, solve_dup
+from .matching import (MODES, Pairing, build_omega, check_mode, matching_weight,
+                       solve_dup)
 from .metrics import CacheVector, cache_fits, meets_eta, pair_value_rates, satisfaction
 from .pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
                        greedy_single_cache, solve_pair_subproblem)
@@ -317,11 +318,13 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
     solved pairs' solutions; a pair whose subproblem is infeasible is kept
     only as its error text, reported in ``feasibility.pair_failures``, and
     its score cell stays -inf.  If no pair is feasible at all the solver
-    raises InfeasiblePairError.
+    raises InfeasiblePairError.  A matching mode that cannot pair the
+    scenario's users raises ValueError before any pair is solved.
     """
     params = params or SolverParams()
     cfg = scn.config
     m = scn.num_users
+    check_mode(params.matching_mode, m)
     pairs = scn.eligible_pairs()
     state = DualState(tau=np.full(m, params.tau_init), rho=np.full(m, params.rho_init))
     trace: list[IterationRecord] = []

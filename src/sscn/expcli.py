@@ -326,24 +326,40 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_or_null(value) -> float | None:
+    """``value`` as a float, or None (JSON null) where it is inf or NaN."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _result_summary(res: SolveResult) -> dict:
+    """The CLI's JSON result; every non-finite number is written as null."""
     per_link_sst, per_link_delay, mean_eta = trial_metrics(res)
+    feas = res.feasibility
+
+    def per_user(values: dict) -> dict:
+        return {str(k): _finite_or_null(v) for k, v in values.items()}
+
     return {
-        "sst": res.sst,
-        "per_link_sst": per_link_sst,
-        "per_link_delay_s": per_link_delay,
-        "mean_eta": mean_eta,
+        "sst": _finite_or_null(res.sst),
+        "per_link_sst": _finite_or_null(per_link_sst),
+        "per_link_delay_s": _finite_or_null(per_link_delay),
+        "mean_eta": _finite_or_null(mean_eta),
         "pairs": [[int(i), int(j)] for i, j in res.pairing.matched_pairs()],
-        "unpaired": [int(i) for i in res.feasibility.unpaired],
-        "powers_w": [float(p) for p in res.powers],
-        "delay_violations": {str(k): v for k, v in res.feasibility.delay_violations.items()},
-        "value_violations": {str(k): v for k, v in res.feasibility.value_violations.items()},
-        "eta_shortfalls": {str(k): v for k, v in res.feasibility.eta_shortfalls.items()},
-        "pair_failures": {f"{i},{j}": msg
-                          for (i, j), msg in res.feasibility.pair_failures.items()},
-        "best_feasible_sst": None if res.best_feasible is None else res.best_feasible.sst,
-        "dual_value_last": res.trace[-1].dual_value if res.trace else None,
+        "unpaired": [int(i) for i in feas.unpaired],
+        "powers_w": [_finite_or_null(p) for p in res.powers],
+        "delay_violations": per_user(feas.delay_violations),
+        "value_violations": per_user(feas.value_violations),
+        "eta_shortfalls": per_user(feas.eta_shortfalls),
+        "pair_failures": {f"{i},{j}": msg for (i, j), msg in feas.pair_failures.items()},
+        "best_feasible_sst": (None if res.best_feasible is None
+                              else _finite_or_null(res.best_feasible.sst)),
+        "dual_value_last": _finite_or_null(res.trace[-1].dual_value) if res.trace else None,
     }
+
+
+def _write_summary(res: SolveResult, out: str | None) -> None:
+    _write_out(json.dumps(_result_summary(res), indent=2, allow_nan=False) + "\n", out)
 
 
 def _cmd_gen(args) -> int:
@@ -372,14 +388,14 @@ def _cmd_solve(args) -> int:
                 f"iter {rec.t}: dual={rec.dual_value!r} sst={rec.sst!r} "
                 f"delay_viol={rec.max_delay_violation!r} "
                 f"value_viol={rec.max_value_violation!r} pairs={rec.pairs_matched}\n")
-    _write_out(json.dumps(_result_summary(res), indent=2) + "\n", args.out)
+    _write_summary(res, args.out)
     return 0
 
 
 def _cmd_baseline(args) -> int:
     scn = _load_input_scenario(args)
     res = run_baseline(scn, args.kind, args.seed if args.seed is not None else 0)
-    _write_out(json.dumps(_result_summary(res), indent=2) + "\n", args.out)
+    _write_summary(res, args.out)
     return 0
 
 

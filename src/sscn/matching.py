@@ -117,12 +117,19 @@ def _greedy_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
     return greedy_walk(m, cells)
 
 
-def _exact_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
-    m = omega.num_users
-    if m > EXACT_MODE_MAX_USERS:
+def check_mode(mode: str, num_users: int) -> None:
+    """Raise ValueError unless ``mode`` is a pairing mode that can pair
+    ``num_users`` users; ``exact`` is limited to EXACT_MODE_MAX_USERS."""
+    if mode not in MODES:
+        raise ValueError(f"unknown matching mode {mode!r}")
+    if mode == "exact" and num_users > EXACT_MODE_MAX_USERS:
         raise ValueError(
             "exact matching is a memoised DP over subsets of free users; "
-            f"limited to {EXACT_MODE_MAX_USERS} users")
+            f"limited to {EXACT_MODE_MAX_USERS} users, got {num_users}")
+
+
+def _exact_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
+    m = omega.num_users
     scores = omega.scores.tolist()
     partners = [[(v, scores[u][v]) for v in range(u + 1, m) if scores[u][v] > 0.0]
                 for u in range(m)]
@@ -164,8 +171,7 @@ def solve_dup(omega: OmegaMatrix, mode: str = "greedy") -> Pairing:
     greedy max-first rounding with lexicographic tie-breaks; ``exact`` is the
     oracle, a memoised DP over subsets of free users (<= 12 users).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown matching mode {mode!r}")
+    check_mode(mode, omega.num_users)
     pairs = _greedy_matching(omega) if mode == "greedy" else _exact_matching(omega)
     return Pairing.from_pairs(omega.num_users, pairs)
 

@@ -612,71 +612,29 @@ def _with_leak(rows: np.ndarray, sets, caches) -> np.ndarray:
     return out
 
 
-def _best_completion(ctx: _PairContext, rows, feasible, s: int, tops, floor: float):
+def _best_completion(ctx: _PairContext, rows, feasible, s: int, floor: float):
     """Best (score, code_i, code_j, power_i, power_j) among the joint caches
     whose matched set is exactly ``s`` and whose score is at least
     ``floor``, ties to the lower (code_i, code_j); None if there is none.
-
-    ``tops[w]`` is direction w's (score, power) at its least-leak completion
-    of ``s``.  A direction's score is nonincreasing in the sender's leak, so
-    each user's completions are searched in leak order, and only while,
-    added to the other direction's top score, they can still reach
-    ``floor``.  A direction silent at its least leak is silent at every leak.
+    Every feasible completion of ``s`` of both users is searched in one
+    batch, then paired in chunks of at most 2^20 (c_i, c_j) cells.
     """
     codes = np.arange(feasible[0].shape[0])
-    members = []
-    for w in (0, 1):
-        m = np.flatnonzero(feasible[w] & ((codes & s) == s))
-        members.append(m[np.lexsort((m, rows[w][m, 1]))])
-    if floor < tops[0][0] + tops[1][0]:
-        # each user's least-leak completion with the other's least-leak
-        # disjoint one is a joint cache of this set, so its score is a floor
-        partners = [m[(m & members[1 - w][0]) == s][:1] for w, m in enumerate(members)]
-        got = ctx.search([_with_leak(rows[w], np.full(len(p), s), p)
-                          for w, p in enumerate(partners)])
-        for w in (0, 1):
-            if len(partners[w]):
-                floor = max(floor, float(got[w][0, 0] + tops[1 - w][0]))
-    done, scores, searching = [0, 0], [[], []], [True, True]
-    for w, m in enumerate(members):
-        if tops[w][1] == 0.0:
-            done[w] = len(m) if tops[1 - w][0] >= floor else 0
-            scores[w].append(np.zeros((done[w], 2)))
-            searching[w] = False
-    size = 2
-    while any(searching):
-        chunks = [members[w][done[w]:done[w] + (size if searching[w] else 0)] for w in (0, 1)]
-        out = ctx.search([_with_leak(rows[w], np.full(len(c), s), c)
-                          for w, c in enumerate(chunks)])
-        for w in (0, 1):
-            if searching[w]:
-                ok = out[w][:, 0] + tops[1 - w][0] >= floor
-                cut = len(ok) if ok.all() else int(np.argmin(ok))
-                scores[w].append(out[w][:cut])
-                done[w] += cut
-                searching[w] = cut == size and done[w] < len(members[w])
-        size = min(4 * size, 1024)
-    ci, cj = (members[w][:done[w]] for w in (0, 1))
-    gi, gj = (np.concatenate(scores[w]) for w in (0, 1))
-    if not (len(ci) and len(cj)):
-        return None
-    n = len(codes)
+    ci, cj = (np.flatnonzero(feasible[w] & ((codes & s) == s)) for w in (0, 1))
+    gi, gj = ctx.search([_with_leak(rows[w], np.full(len(c), s), c)
+                         for w, c in enumerate((ci, cj))])
     best = None
     step = max(1, (1 << 20) // len(cj))
     for lo in range(0, len(ci), step):
         x = ci[lo:lo + step]
         total = gi[lo:lo + step, 0, None] + gj[None, :, 0]
         total[(x[:, None] & cj[None, :]) != s] = -np.inf
-        top = total.max()
-        if top == -np.inf or top < floor:
-            continue
-        r, c = np.nonzero(total == top)
-        joint = x[r] * n + cj[c]
-        pick = int(np.argmin(joint))
-        cand = (float(top), int(x[r[pick]]), int(cj[c[pick]]),
-                float(gi[lo + r[pick], 1]), float(gj[c[pick], 1]))
-        if best is None or (-cand[0], cand[1:3]) < (-best[0], best[1:3]):
-            best = cand
+        # codes ascend along rows, columns and chunks, so the first maximum
+        # in C order of the first chunk that reaches it has the lowest codes
+        r, c = np.unravel_index(int(np.argmax(total)), total.shape)
+        top = float(total[r, c])
+        if top > -np.inf and top >= floor and (best is None or top > best[0]):
+            best = (top, int(x[r]), int(cj[c]), float(gi[lo + r, 1]), float(gj[c, 1]))
     return best
 
 
@@ -692,15 +650,16 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
          + f_ji(S, least leak of j over feasible c_j >= S)
     holds for every joint cache matching in S, and is attained, bit for bit
     through the search memo, when the two least-leak caches meet exactly in
-    S.  With golden-section refinement the monotonicity in the leak is
-    checked, not proven: over 675 seeded pairs (K = 3-8; 32, 64 and 256
-    levels) no refined score of 980,283 (S, cache) rows exceeded the one of
-    a lower leak, and on 2,700 pairs the search equalled the table scan bit
-    for bit.  Sets are opened in descending R
-    until R drops below the best score found; a set whose least-leak caches
-    overlap elsewhere, or where a lower code may tie, is searched over its
-    completions.  Ties go to the lowest (c_i, c_j) code, the product-order
-    first maximum of ``_enumerate_table``.
+    S.  Only this bound needs the monotonicity in the leak; an opened set
+    scores every completion.  With golden-section refinement it is checked,
+    not proven: over 675 seeded pairs (K = 3-8; 32, 64 and 256 levels) no
+    refined score of 980,283 (S, cache) rows exceeded the one of a lower
+    leak, and on 2,700 pairs the search equalled the table scan bit for bit.
+    Sets are opened in descending R until R drops below the best score
+    found; a set whose least-leak caches overlap elsewhere, or where a lower
+    code may tie, is searched over all its completions in one batch.  Ties
+    go to the lowest (c_i, c_j) code, the product-order first maximum of
+    ``_enumerate_table``.
     """
     scn, k = ctx.scn, ctx.k
     table = _cache_table(k)
@@ -737,7 +696,6 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
                      float(f_ij[node, 1]), float(f_ji[node, 1]))
         else:
             found = _best_completion(ctx, rows, feasible, int(sets[node]),
-                                     (f_ij[node], f_ji[node]),
                                      float(bound[node]) if meets[node] else floor)
         if found is not None and (best is None
                                   or (-found[0], found[1:3]) < (-best[0], best[1:3])):

@@ -131,3 +131,9 @@ def assert_close(actual: float, expected: float, rel: float = 1.0e-9,
                  abs_tol: float = 1.0e-12) -> None:
     assert math.isclose(actual, expected, rel_tol=rel, abs_tol=abs_tol), (
         f"{actual!r} != {expected!r} (rel {rel}, abs {abs_tol})")
+
+
+def reject_non_finite(name: str):
+    """``parse_constant`` hook of ``json.loads`` that refuses the NaN,
+    Infinity and -Infinity tokens strict JSON readers reject."""
+    raise ValueError(f"non-finite value {name} in JSON output")

@@ -1,5 +1,6 @@
 """The benchmark's result line: one round of bench/run.py per workload and mode."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reject_non_finite
+
 REPO = Path(__file__).resolve().parents[1]
-
-
-def _reject_constant(name):
-    raise ValueError(f"non-finite value {name} in the result line")
+DECLARED = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("workload,trace", [
@@ -25,8 +25,23 @@ def test_bench_run_ends_in_a_strict_json_result(workload, trace):
          "--seconds", "0", "--seed", "1", "--trace", str(trace)],
         cwd=REPO, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_non_finite)
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
-    if not trace:
-        declared = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
-        assert {m["name"] for m in declared["end_to_end"]} <= result["metrics"].keys()
+    # a traced run leaves out the metrics of every name it could not wrap,
+    # and counts 0 calls of a name the solver binds but no longer calls
+    wanted = {m["name"] for m in DECLARED["per_layer" if trace else "end_to_end"]}
+    assert wanted <= result["metrics"].keys(), sorted(wanted - result["metrics"].keys())
+    if trace:
+        assert result["metrics"]["pair_opt.subproblem_calls"]["value"] > 0
+
+
+def test_every_traced_name_exists_in_its_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = list(tracer.PUBLIC)
+    names += [("sscn.dual", name) for name in tracer.DUAL_BOUND]
+    names += [("sscn.pair_opt", name) for name in tracer.PAIR_OPT_GLOBALS]
+    missing = [(home, name) for home, name in names
+               if not hasattr(importlib.import_module(home), name)]
+    assert not missing

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, reject_non_finite
 from sscn.dual import SolverParams, run_solver
 from sscn.expcli import (AXIS_FIELDS, CSV_HEADER, ConfigError, ResultRow,
                          SweepSpec, _fmt, _read_ini, _scenario_config,
                          _solver_params, derive_trial_seeds, load_sweep_spec,
                          main, rows_to_csv, run_sweep, trial_metrics)
+from sscn.matching import EXACT_MODE_MAX_USERS
 from sscn.pair_opt import PairOptParams
 from sscn.scenario import (ScenarioConfig, ScenarioFormatError, _config_items,
                            generate_scenario, load_scenario, save_scenario)
@@ -294,6 +295,22 @@ def test_unknown_matching_mode_exits_3_before_any_pair_is_solved(tmp_path, capsy
     assert captured.err.count("\n") == 1 and "matching_mode" in captured.err
 
 
+def test_oversized_exact_matching_exits_3_before_any_pair_is_solved(tmp_path, capsys,
+                                                                    monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a pair subproblem ran before the user count was checked")
+
+    monkeypatch.setattr("sscn.dual.solve_pair_subproblem", no_solve)
+    users = EXACT_MODE_MAX_USERS + 1
+    scenario = SCENARIO_4.replace("num_users = 4", f"num_users = {users}")
+    path = write(tmp_path, "cfg.ini", scenario + FAST_SOLVER + "matching_mode = exact\n")
+    assert main(["solve", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"limited to {EXACT_MODE_MAX_USERS} users, got {users}" in captured.err
+
+
 def _readme_ini_blocks():
     text = (REPO / "README.md").read_text(encoding="utf-8")
     return re.findall(r"```ini\n(.*?)```", text, flags=re.S)
@@ -463,6 +480,23 @@ def test_cli_gen_solve_baseline_round_trip(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "\"sst\"" in captured.out
     assert "iter 1:" in captured.err
+
+
+def test_cli_results_are_strict_json_with_null_for_non_finite(tmp_path):
+    # the rpd baseline overloads queues here: its per-link delay and its
+    # users' delay violations are infinite and must be written as null
+    cfg_path = write(tmp_path, "cell.ini", "[scenario]\nnum_users = 20\nnum_kbs = 8\n")
+    base_path = tmp_path / "base.json"
+    assert main(["baseline", "--config", cfg_path, "--kind", "rpd", "--seed", "1",
+                 "--out", str(base_path)]) == 0
+    base = json.loads(base_path.read_text(), parse_constant=reject_non_finite)
+    assert base["per_link_delay_s"] is None
+    assert None in base["delay_violations"].values()
+    assert all(isinstance(p, float) for p in base["powers_w"])
+    solve_path = tmp_path / "solve.json"
+    assert main(["solve", "--config", write(tmp_path, "cfg.ini", SCENARIO_4 + FAST_SOLVER),
+                 "--out", str(solve_path)]) == 0
+    assert json.loads(solve_path.read_text(), parse_constant=reject_non_finite)["sst"] > 0.0
 
 
 def test_cli_solve_from_config_with_seed_and_mode(tmp_path):

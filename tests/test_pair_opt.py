@@ -11,8 +11,8 @@ from conftest import HAND, ZIPF3, assert_close, make_hand_pair, make_scenario
 from sscn.dual import SolverParams, run_solver
 from sscn.metrics import ETA_SLACK, CacheVector, pair_value_rates
 from sscn.pair_opt import (InfeasiblePairError, PairOptParams, TabuState,
-                           _cache_table, _enumerate_table, _PairContext,
-                           enumerate_pair_optimum,
+                           _best_completion, _cache_table, _enumerate_table,
+                           _PairContext, enumerate_pair_optimum,
                            greedy_single_cache, initial_kbc, neighborhood,
                            optimize_powers, pair_score, solve_pair_subproblem,
                            stable_power_upper_bound)
@@ -491,7 +491,20 @@ EDGE_CASES = [
 ]
 
 
-def test_matched_set_search_equals_table_enumeration():
+# (config, tau, rho, grid points) of pairs whose best opened set is searched
+# over its completions.  In the first, one direction is silent at its least
+# leak and a lower code may tie; in the second, the two least-leak caches
+# overlap outside the matched set.  Both lose their answer if the search
+# skips a user's highest-code completion.
+COMPLETION_CASES = [
+    (dict(num_kbs=6, cell_radius_m=300.0, rng_seed=2146142127, eta_min=0.7222, capacity=10),
+     [0.4348, 0.7793], [3.4314, 4.5067], 2),
+    (dict(num_kbs=6, cell_radius_m=50.0, rng_seed=1893918326, eta_min=0.7483, capacity=10),
+     [181.1685, 877.3535], [0.6707, 1.5987], 32),
+]
+
+
+def test_matched_set_search_equals_table_enumeration(monkeypatch):
     # The matched-set branch and bound must return the table scan's answer
     # bit for bit: the same error for an infeasible pair, else the same
     # caches (ties to the product-order first maximum), powers, score and
@@ -502,7 +515,8 @@ def test_matched_set_search_equals_table_enumeration():
     cases = [(make_hand_pair(), np.zeros(2), np.zeros(2), grid)]
     cases += [(generate_scenario(ScenarioConfig(num_users=2, **cfg)), np.array(tau),
                np.array(rho), PairOptParams(power_grid_points=levels, power_refine=False))
-              for cfg, tau, rho, levels in EDGE_CASES]
+              for cfg, tau, rho, levels in EDGE_CASES + COMPLETION_CASES]
+    completion = slice(len(cases) - len(COMPLETION_CASES), len(cases))
     rng = np.random.default_rng(77)
     for num_kbs in (1, 3, 5, 6, 8):
         for case in range(8):
@@ -514,16 +528,27 @@ def test_matched_set_search_equals_table_enumeration():
             tau = rng.choice([0.0, 1.0, 1e3, 1e5]) * rng.random(2)
             rho = rng.choice([0.0, 1.0, 5.0]) * rng.random(2)
             cases.append((scn, tau, rho, grid))
-    outcomes = []
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _best_completion(*args)
+
+    monkeypatch.setattr("sscn.pair_opt._best_completion", counted)
+    outcomes, reached = [], []
     for scn, tau, rho, params in cases:
         want = _exact_outcome(_enumerate_table, scn, tau, rho, params)
+        before = len(calls)
         assert _exact_outcome(enumerate_pair_optimum, scn, tau, rho, params) == want
         outcomes.append(want)
+        reached.append(len(calls) > before)
         for levels in sorted({params.power_grid_points, 32, 64, 256}):
             refined = replace(params, power_grid_points=levels, power_refine=True)
             assert (_exact_outcome(enumerate_pair_optimum, scn, tau, rho, refined)
                     == _exact_outcome(_enumerate_table, scn, tau, rho, refined))
-    # premises: infeasible pairs, and answers with a silent direction
+    # premises: the completion cases search completions, infeasible pairs,
+    # and answers with a silent direction
+    assert all(reached[completion])
     assert sum(isinstance(out, str) for out in outcomes) >= 3
     assert sum(not isinstance(out, str) and 0.0 in out[4:6] for out in outcomes) >= 5
 
