@@ -4,19 +4,18 @@ Both baselines cache by popularity alone (greedy satisfaction-first fill,
 then uniform random stuffing of leftover capacity) and skip power/pairing
 optimization: RPD draws every transmit power uniformly from (0, p_max] and
 pairs nearest eligible neighbors; MPK transmits at full power and pairs by
-largest cache overlap.  Results are measured with exactly the same metrics
-and audit as the main solver, so unstable queues show up as infinite delays
-rather than being hidden.
+largest cache overlap.  Results are scored by the solver's own
+``evaluated``, with exactly the same metrics and audit as a solver iterate,
+so unstable queues show up as infinite delays rather than being hidden.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dual import (IterateSnapshot, SolveResult, audit_assignment,
-                   delivered_sst, measure_pair, solo_cache)
+from .dual import SolveResult, evaluated, measure_pair, solo_cache
 from .matching import Pairing, greedy_walk
-from .metrics import CacheVector, satisfaction
+from .metrics import CacheVector
 from .scenario import Scenario
 
 
@@ -56,7 +55,9 @@ def run_baseline(scn: Scenario, kind: str, seed: int) -> SolveResult:
     """Evaluate one baseline scheme (one of ``KINDS``) on a scenario.
 
     The RNG stream covers the random cache fill and, for RPD, the power
-    draws, so identical (scenario, kind, seed) runs are identical.
+    draws, so identical (scenario, kind, seed) runs are identical.  The
+    result has no trace or prices; its ``best_feasible`` is itself when it
+    is feasible.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}; expected one of {KINDS}")
@@ -76,16 +77,4 @@ def run_baseline(scn: Scenario, kind: str, seed: int) -> SolveResult:
     pairing = Pairing.from_pairs(scn.num_users, greedy_walk(scn.num_users, cells))
     reports = {(i, j): measure_pair(scn, i, j, caches, powers)
                for i, j in pairing.matched_pairs()}
-    sst = delivered_sst(reports)
-    feas = audit_assignment(scn, caches, pairing, powers, reports,
-                            eta_shortfalls=shortfalls)
-    eta = np.array([satisfaction(caches[i], scn.catalog.user_probs[i])
-                    for i in range(scn.num_users)])
-    best = None
-    if feas.soft_ok and not shortfalls:
-        best = IterateSnapshot(t=0, sst=sst, caches=tuple(caches),
-                               pairing=pairing, powers=powers.copy())
-    return SolveResult(
-        caches=tuple(caches), pairing=pairing, powers=powers, sst=sst, eta=eta,
-        pair_reports=reports, feasibility=feas, trace=(),
-        best_feasible=best, dual_final=None)
+    return evaluated(scn, caches, pairing, powers, reports, shortfalls)

@@ -97,7 +97,6 @@ def lagrangian_value(
     Reduces to plain network SST when all prices are zero.  Raises
     UnstableQueueError if a matched direction has an unstable queue.
     """
-    cfg = scn.config
     total = 0.0
     for i, j in pairing.matched_pairs():
         rep = measure_pair(scn, i, j, caches, powers)
@@ -105,7 +104,13 @@ def lagrangian_value(
             raise UnstableQueueError(f"pair ({i}, {j}) has an unstable queue")
         total += (1.0 + rho[i]) * rep.secrecy_ij - tau[i] * rep.delay_ij
         total += (1.0 + rho[j]) * rep.secrecy_ji - tau[j] * rep.delay_ji
-    return total + cfg.delay_max_s * float(np.sum(tau)) - cfg.sst_min * float(np.sum(rho))
+    return _priced(total, scn, tau, rho)
+
+
+def _priced(inner: float, scn: Scenario, tau: np.ndarray, rho: np.ndarray) -> float:
+    """``inner`` plus the constant price terms of the Lagrangian."""
+    cfg = scn.config
+    return inner + cfg.delay_max_s * float(np.sum(tau)) - cfg.sst_min * float(np.sum(rho))
 
 
 @dataclass(frozen=True)
@@ -162,19 +167,20 @@ class FeasibilityReport:
     def soft_ok(self) -> bool:
         return not self.delay_violations and not self.value_violations
 
-
-@dataclass(frozen=True)
-class IterateSnapshot:
-    t: int
-    sst: float
-    caches: tuple[CacheVector, ...]
-    pairing: Pairing
-    powers: np.ndarray
+    @property
+    def feasible(self) -> bool:
+        """No delay or value violation and no eta shortfall."""
+        return self.soft_ok and not self.eta_shortfalls
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final assignment plus audit trail of a solver or baseline run."""
+    """One assignment scored by ``evaluated``: a solver iterate or a baseline.
+
+    ``best_feasible`` is the assignment itself if ``feasibility.feasible``
+    holds (else None); ``run_solver`` sets it to the highest-SST feasible
+    iterate and adds the ``trace`` and final prices ``dual_final``.
+    """
 
     caches: tuple[CacheVector, ...]
     pairing: Pairing
@@ -183,9 +189,9 @@ class SolveResult:
     eta: np.ndarray
     pair_reports: dict[tuple[int, int], PairReport]
     feasibility: FeasibilityReport
-    trace: tuple[IterationRecord, ...]
-    best_feasible: IterateSnapshot | None
-    dual_final: DualState | None
+    trace: tuple[IterationRecord, ...] = ()
+    best_feasible: SolveResult | None = None
+    dual_final: DualState | None = None
 
 
 def _pair_report_from_solution(sol: PairSolution) -> PairReport:
@@ -278,6 +284,20 @@ def audit_assignment(
     )
 
 
+def evaluated(scn: Scenario, caches, pairing: Pairing, powers: np.ndarray,
+              pair_reports: dict[tuple[int, int], PairReport], eta_shortfalls: dict[int, float],
+              pair_failures: dict[tuple[int, int], str] | None = None) -> SolveResult:
+    """Audit, SST and per-user satisfaction of one assignment."""
+    feasibility = audit_assignment(scn, caches, pairing, powers, pair_reports,
+                                   eta_shortfalls=eta_shortfalls, pair_failures=pair_failures)
+    eta = np.array([satisfaction(caches[i], scn.catalog.user_probs[i])
+                    for i in range(scn.num_users)])
+    res = SolveResult(caches=tuple(caches), pairing=pairing, powers=powers,
+                      sst=delivered_sst(pair_reports), eta=eta,
+                      pair_reports=pair_reports, feasibility=feasibility)
+    return replace(res, best_feasible=res) if feasibility.feasible else res
+
+
 def solo_cache(scn: Scenario, i: int) -> tuple[CacheVector, float]:
     """Popularity-first cache of user i alone (the fallback of an unpaired
     user); returns the eta shortfall (0 if the satisfaction target was
@@ -319,7 +339,8 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
     only as its error text, reported in ``feasibility.pair_failures``, and
     its score cell stays -inf.  If no pair is feasible at all the solver
     raises InfeasiblePairError.  A matching mode that cannot pair the
-    scenario's users raises ValueError before any pair is solved.
+    scenario's users raises ValueError before any pair is solved.  The
+    result is the last iterate's, with the trace and best iterate attached.
     """
     params = params or SolverParams()
     cfg = scn.config
@@ -328,8 +349,7 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
     pairs = scn.eligible_pairs()
     state = DualState(tau=np.full(m, params.tau_init), rho=np.full(m, params.rho_init))
     trace: list[IterationRecord] = []
-    best: IterateSnapshot | None = None
-    final: tuple | None = None
+    best: SolveResult | None = None
     warm: dict[tuple[int, int], np.ndarray] = {}
 
     for t in range(1, params.dual_iters + 1):
@@ -350,31 +370,15 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
         omega = build_omega(solutions, m)
         pairing = solve_dup(omega, params.matching_mode)
         caches, powers, reports, shortfalls = _assemble(scn, solutions, pairing)
-        sst = delivered_sst(reports)
-        delay_sums, value_sums = _per_user_sums(m, reports)
-        inner_value = matching_weight(omega, pairing)
-        dual_value = (inner_value + cfg.delay_max_s * float(np.sum(state.tau))
-                      - cfg.sst_min * float(np.sum(state.rho)))
-        max_delay_violation = float(np.max(np.maximum(delay_sums - cfg.delay_max_s, 0.0)))
-        max_value_violation = float(np.max(np.maximum(cfg.sst_min - value_sums, 0.0)))
+        last = evaluated(scn, caches, pairing, powers, reports, shortfalls, failures)
+        feas = last.feasibility
         trace.append(IterationRecord(
-            t=t, dual_value=dual_value, sst=sst,
-            max_delay_violation=max_delay_violation,
-            max_value_violation=max_value_violation,
+            t=t, dual_value=_priced(matching_weight(omega, pairing), scn, state.tau, state.rho),
+            sst=last.sst,
+            max_delay_violation=max(feas.delay_violations.values(), default=0.0),
+            max_value_violation=max(feas.value_violations.values(), default=0.0),
             pairs_matched=len(pairing.matched_pairs())))
-        feasible_now = (max_delay_violation == 0.0 and max_value_violation == 0.0
-                        and not shortfalls)
-        if feasible_now and (best is None or sst > best.sst):
-            best = IterateSnapshot(t=t, sst=sst, caches=tuple(caches),
-                                   pairing=pairing, powers=powers.copy())
-        final = (caches, pairing, powers, reports, shortfalls, failures, sst)
-        state = update_duals(state, delay_sums, value_sums, cfg.delay_max_s, cfg.sst_min)
-
-    caches, pairing, powers, reports, shortfalls, failures, sst = final
-    report = audit_assignment(scn, caches, pairing, powers, reports,
-                              eta_shortfalls=shortfalls, pair_failures=failures)
-    eta = np.array([satisfaction(caches[i], scn.catalog.user_probs[i]) for i in range(m)])
-    return SolveResult(
-        caches=tuple(caches), pairing=pairing, powers=powers, sst=sst, eta=eta,
-        pair_reports=reports, feasibility=report, trace=tuple(trace),
-        best_feasible=best, dual_final=state)
+        if feas.feasible and (best is None or last.sst > best.sst):
+            best = last.best_feasible
+        state = update_duals(state, *_per_user_sums(m, reports), cfg.delay_max_s, cfg.sst_min)
+    return replace(last, trace=tuple(trace), best_feasible=best, dual_final=state)

@@ -40,7 +40,7 @@ from .pair_opt import InfeasiblePairError, PairOptParams
 from .scenario import (Scenario, ScenarioConfig, ScenarioFormatError,
                        ScenarioGenerationError, config_from_mapping,
                        fields_from_strings, generate_scenario, load_scenario,
-                       save_scenario, scenario_to_text)
+                       save_scenario, scenario_to_text, with_p_max)
 
 CSV_HEADER = ("scheme,axis,axis_value,variant,variant_value,"
               "mean_sst,mean_delay_s,mean_eta,trials,seed,errors")
@@ -155,33 +155,38 @@ def _trial_config(spec: SweepSpec, axis_value, variant_value, scn_seed: int) -> 
     return replace(spec.base, **changes)
 
 
-def _run_trial(task) -> tuple[int, tuple[float, float, float] | None, str | None]:
-    index, spec, axis_value, variant_value, scheme, trial = task
+def _run_trial(task) -> tuple[tuple[float, float, float] | None, str | None]:
+    spec, axis_value, variant_value, scheme, trial = task
     scn_seed, aux_seed = derive_trial_seeds(
         spec.seed, spec.axis, axis_value, spec.variant, variant_value, scheme, trial)
     try:
-        scn = generate_scenario(_trial_config(spec, axis_value, variant_value, scn_seed))
+        # a p_max trial draws its one topology at the lowest budget, where
+        # eligibility is narrowest, and re-budgets it for this cell
+        drawn_at = min(spec.axis_values) if spec.axis == "p_max" else axis_value
+        scn = generate_scenario(_trial_config(spec, drawn_at, variant_value, scn_seed))
+        if spec.axis == "p_max":
+            scn = with_p_max(scn, axis_value)
         if scheme == "proposed":
             res = run_solver(scn, spec.solver)
         else:
             res = run_baseline(scn, scheme, aux_seed)
-        return index, trial_metrics(res), None
+        return trial_metrics(res), None
     except Exception as exc:  # recorded per trial; a sweep never aborts
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     """Execute every (axis value, variant value, scheme) cell of a sweep.
 
     Deterministic regardless of ``threads``: results are assembled in task
-    order and every trial's RNG seeds derive from the spec alone.
+    order and every trial's RNG seeds derive from the spec alone.  Tasks run
+    cell by cell, ``spec.trials`` each, so a cell's outcomes are one slice.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    groups = [(a, v, s) for a in spec.axis_values
-              for v in spec.variant_values for s in spec.schemes]
-    tasks = [(idx, spec, a, v, s, trial)
-             for idx, (a, v, s) in enumerate(groups) for trial in range(spec.trials)]
+    cells = [(a, v, s) for a in spec.axis_values
+             for v in spec.variant_values for s in spec.schemes]
+    tasks = [(spec, a, v, s, trial) for a, v, s in cells for trial in range(spec.trials)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=1))
@@ -189,10 +194,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
         outcomes = [_run_trial(t) for t in tasks]
 
     rows: list[ResultRow] = []
-    for idx, (axis_value, variant_value, scheme) in enumerate(groups):
-        metrics = [m for i, m, err in outcomes if i == idx and err is None]
-        messages = tuple(f"trial {task[5]}: {err}" for task, (i, _, err) in zip(tasks, outcomes)
-                         if i == idx and err is not None)
+    for n, (axis_value, variant_value, scheme) in enumerate(cells):
+        cell = outcomes[n * spec.trials:(n + 1) * spec.trials]
+        metrics = [m for m, err in cell if err is None]
+        messages = tuple(f"trial {trial}: {err}" for trial, (_, err) in enumerate(cell)
+                         if err is not None)
         if metrics:
             arr = np.array(metrics)
             mean_sst, mean_delay, mean_eta = (float(arr[:, 0].mean()),
@@ -363,10 +369,7 @@ def _write_summary(res: SolveResult, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _scenario_config(_read_ini(args.config), args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
-    scn = generate_scenario(cfg)
+    scn = _load_input_scenario(args)
     if args.out:
         save_scenario(scn, args.out)
     else:

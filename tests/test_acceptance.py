@@ -289,7 +289,7 @@ def test_criterion_6_beats_baselines_and_power_trend():
             base=ScenarioConfig(num_kbs=8),
             solver=BENCH,
         )
-        by_scheme = {row.scheme: row for row in run_sweep(spec)}
+        by_scheme = {row.scheme: row for row in run_sweep(spec, threads=2)}
         prop = by_scheme["proposed"]
         beat = (
             prop.mean_sst > by_scheme["rpd"].mean_sst
@@ -312,7 +312,7 @@ def test_criterion_6_beats_baselines_and_power_trend():
         base=ScenarioConfig(num_users=20, num_kbs=8),
         solver=BENCH,
     )
-    rows = run_sweep(spec)
+    rows = run_sweep(spec, threads=2)
     for value in (9.0, 15.0, 21.0):
         cell = {row.scheme: row for row in rows if row.axis_value == value}
         beat = (

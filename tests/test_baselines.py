@@ -150,6 +150,17 @@ def test_baseline_best_feasible_snapshot_mirrors_soft_feasibility():
     assert snap is not None and snap.sst > 0.0
 
 
+@pytest.mark.parametrize("kind", ["rpd", "mpk"])
+def test_feasible_baseline_is_its_own_best_feasible(kind):
+    res = run_baseline(make_hand_pair(sst_min=0.0), kind, seed=0)
+    assert res.feasibility.feasible
+    best = res.best_feasible
+    assert best.sst == res.sst
+    assert best.caches == res.caches
+    assert np.array_equal(best.pairing.partner, res.pairing.partner)
+    assert np.array_equal(best.powers, res.powers)
+
+
 def test_unknown_baseline_kind_rejected():
     scn = make_hand_pair()
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import HAND, assert_close, make_hand_pair, make_scenario
-from sscn.dual import (DualState, SolverParams, audit_assignment,
+from sscn.dual import (DualState, SolveResult, SolverParams, audit_assignment,
                        delivered_sst, lagrangian_value, measure_pair,
                        run_solver, update_duals)
 from sscn.matching import UNPAIRED, Pairing
@@ -247,6 +247,42 @@ def test_solver_best_feasible_tracking(hand_pair):
     assert res2.best_feasible is not None
     assert_close(res2.best_feasible.sst, res2.sst, rel=1e-12)
     assert res2.feasibility.soft_ok
+
+
+FAST_PAIR = PairOptParams(max_iters=4, power_grid_points=32, power_refine=False)
+
+
+def _relaxed_network():
+    """6 users, sst floor 0, delay cap 0.3 s: over 6 iterations only the
+    third iterate meets the cap, and the final one has a higher SST."""
+    return generate_scenario(ScenarioConfig(num_users=6, num_kbs=4, cell_radius_m=60.0,
+                                            sst_min=0.0, delay_max_s=0.3, rng_seed=14))
+
+
+def test_best_feasible_is_the_best_feasible_iterates_result():
+    res = run_solver(_relaxed_network(), SolverParams(dual_iters=6, pair=FAST_PAIR))
+    feasible_ssts = [rec.sst for rec in res.trace
+                     if rec.max_delay_violation == 0.0 and rec.max_value_violation == 0.0]
+    assert 0 < len(feasible_ssts) < len(res.trace)
+    assert not res.feasibility.feasible and res.sst > max(feasible_ssts)
+    best = res.best_feasible
+    assert isinstance(best, SolveResult)
+    assert best.feasibility.feasible
+    assert best.sst == max(feasible_ssts)
+    assert best.sst == delivered_sst(best.pair_reports)
+    assert best.trace == () and best.dual_final is None
+
+
+@pytest.mark.parametrize("scn", [_relaxed_network(), generate_scenario(
+    ScenarioConfig(num_users=6, num_kbs=4, cell_radius_m=60.0, rng_seed=11))],
+    ids=["delay-violated", "value-violated"])
+def test_last_trace_record_reports_the_final_audit(scn):
+    res = run_solver(scn, SolverParams(dual_iters=6, pair=FAST_PAIR))
+    feas, last = res.feasibility, res.trace[-1]
+    assert feas.delay_violations or feas.value_violations
+    assert last.max_delay_violation == max(feas.delay_violations.values(), default=0.0)
+    assert last.max_value_violation == max(feas.value_violations.values(), default=0.0)
+    assert last.sst == res.sst
 
 
 def test_solver_structural_invariants_on_generated_network():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, reject_non_finite
+from sscn import expcli
 from sscn.dual import SolverParams, run_solver
 from sscn.expcli import (AXIS_FIELDS, CSV_HEADER, ConfigError, ResultRow,
                          SweepSpec, _fmt, _read_ini, _scenario_config,
@@ -404,6 +405,29 @@ def test_run_sweep_thread_count_does_not_change_results():
 def test_run_sweep_rejects_worker_counts_below_one(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
         run_sweep(_tiny_spec(), threads=threads)
+
+
+def test_p_max_sweep_keeps_one_topology_per_trial(monkeypatch):
+    # a 100 m cell of 4 users is sparse at -10 dBm: generating at each budget
+    # would redraw most trials' positions differently
+    budgets = (-10.0, 21.0)
+    spec = _tiny_spec(axis="p_max", axis_values=budgets, schemes=("mpk",), trials=4,
+                      base=ScenarioConfig(num_users=4, num_kbs=3, cell_radius_m=100.0))
+    seen = []
+    real = expcli.run_baseline
+
+    def spy(scn, kind, seed):
+        seen.append((scn.config.p_max_dbm, scn.positions))
+        return real(scn, kind, seed)
+
+    monkeypatch.setattr(expcli, "run_baseline", spy)
+    rows = run_sweep(spec)
+    assert all(row.errors == 0 for row in rows)
+    # tasks run cell by cell, trials in order
+    assert [p for p, _ in seen] == [b for b in budgets for _ in range(spec.trials)]
+    low, high = seen[:spec.trials], seen[spec.trials:]
+    for (_, pos_low), (_, pos_high) in zip(low, high):
+        assert np.array_equal(pos_low, pos_high)
 
 
 def test_run_sweep_records_errors_instead_of_aborting():
