@@ -90,6 +90,16 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
+class TrialResult:
+    """One sweep trial: network SST and the three ``trial_metrics`` values."""
+
+    sst: float
+    per_link_sst: float
+    per_link_delay_s: float
+    mean_eta: float
+
+
+@dataclass(frozen=True)
 class ResultRow:
     scheme: str
     axis: str
@@ -103,6 +113,7 @@ class ResultRow:
     seed: int
     errors: int
     error_messages: tuple[str, ...] = ()   # one per failed trial; not written to CSV
+    trial_results: tuple[TrialResult | None, ...] = ()  # in trial order; not written to CSV
 
 
 def derive_trial_seeds(seed: int, axis: str, axis_value, variant: str,
@@ -139,7 +150,7 @@ def _fmt(value) -> str:
 
 
 def trial_metrics(res: SolveResult) -> tuple[float, float, float]:
-    """(per-link SST, per-link delay, mean eta over matched users)."""
+    """(per-link SST, per-link delay, mean eta of matched users, or of all if none)."""
     links = 2 * len(res.pairing.matched_pairs())
     if links == 0:
         return 0.0, 0.0, float(np.mean(res.eta))
@@ -155,7 +166,7 @@ def _trial_config(spec: SweepSpec, axis_value, variant_value, scn_seed: int) -> 
     return replace(spec.base, **changes)
 
 
-def _run_trial(task) -> tuple[tuple[float, float, float] | None, str | None]:
+def _run_trial(task) -> tuple[TrialResult | None, str | None]:
     spec, axis_value, variant_value, scheme, trial = task
     scn_seed, aux_seed = derive_trial_seeds(
         spec.seed, spec.axis, axis_value, spec.variant, variant_value, scheme, trial)
@@ -170,7 +181,7 @@ def _run_trial(task) -> tuple[tuple[float, float, float] | None, str | None]:
             res = run_solver(scn, spec.solver)
         else:
             res = run_baseline(scn, scheme, aux_seed)
-        return trial_metrics(res), None
+        return TrialResult(res.sst, *trial_metrics(res)), None
     except Exception as exc:  # recorded per trial; a sweep never aborts
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -187,8 +198,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     cells = [(a, v, s) for a in spec.axis_values
              for v in spec.variant_values for s in spec.schemes]
     tasks = [(spec, a, v, s, trial) for a, v, s in cells for trial in range(spec.trials)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a fork pool starts all its workers at once; start no idle ones
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=1))
     else:
         outcomes = [_run_trial(t) for t in tasks]
@@ -196,22 +209,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for n, (axis_value, variant_value, scheme) in enumerate(cells):
         cell = outcomes[n * spec.trials:(n + 1) * spec.trials]
-        metrics = [m for m, err in cell if err is None]
+        results = tuple(r for r, _ in cell)
         messages = tuple(f"trial {trial}: {err}" for trial, (_, err) in enumerate(cell)
                          if err is not None)
-        if metrics:
-            arr = np.array(metrics)
-            mean_sst, mean_delay, mean_eta = (float(arr[:, 0].mean()),
-                                              float(arr[:, 1].mean()),
-                                              float(arr[:, 2].mean()))
-        else:
-            mean_sst = mean_delay = mean_eta = math.nan
+        done = [(r.per_link_sst, r.per_link_delay_s, r.mean_eta)
+                for r in results if r is not None]
+        mean_sst, mean_delay, mean_eta = (
+            [float(col.mean()) for col in np.array(done).T] if done else [math.nan] * 3)
         rows.append(ResultRow(
             scheme=scheme, axis=spec.axis, axis_value=axis_value,
             variant=spec.variant, variant_value=variant_value,
             mean_sst=mean_sst, mean_delay_s=mean_delay, mean_eta=mean_eta,
             trials=spec.trials, seed=spec.seed, errors=len(messages),
-            error_messages=messages))
+            error_messages=messages, trial_results=results))
     return rows
 
 

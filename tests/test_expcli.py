@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,10 @@ from conftest import make_scenario, reject_non_finite
 from sscn import expcli
 from sscn.dual import SolverParams, run_solver
 from sscn.expcli import (AXIS_FIELDS, CSV_HEADER, ConfigError, ResultRow,
-                         SweepSpec, _fmt, _read_ini, _scenario_config,
-                         _solver_params, derive_trial_seeds, load_sweep_spec,
-                         main, rows_to_csv, run_sweep, trial_metrics)
+                         SweepSpec, TrialResult, _fmt, _read_ini,
+                         _scenario_config, _solver_params, derive_trial_seeds,
+                         load_sweep_spec, main, rows_to_csv, run_sweep,
+                         trial_metrics)
 from sscn.matching import EXACT_MODE_MAX_USERS
 from sscn.pair_opt import PairOptParams
 from sscn.scenario import (ScenarioConfig, ScenarioFormatError, _config_items,
@@ -328,7 +329,10 @@ def test_readme_ini_examples_load(tmp_path):
     assert spec.axis == "num_users" and spec.axis_values == (10, 20, 30, 40)
     assert spec.variant == "capacity" and spec.variant_values == (24,)
     assert spec.schemes == ("proposed", "rpd", "mpk")
-    assert spec.base.num_kbs == 8 and spec.solver.pair.max_iters == 4
+    assert spec.base.num_kbs == 8
+    # the acceptance suite's fast knobs
+    assert spec.solver == SolverParams(dual_iters=2, pair=PairOptParams(
+        sigma=1, max_iters=4, power_grid_points=32, power_refine=False))
 
 
 SWEEP_CELL = ("[sweep]\naxis = num_users\naxis_values = 4\n"
@@ -397,8 +401,35 @@ def test_run_sweep_shape_and_determinism():
 
 def test_run_sweep_thread_count_does_not_change_results():
     spec = _tiny_spec()
-    assert rows_to_csv(run_sweep(spec, threads=1)) == rows_to_csv(
-        run_sweep(spec, threads=2))
+    serial, pooled = run_sweep(spec, threads=1), run_sweep(spec, threads=2)
+    assert rows_to_csv(serial) == rows_to_csv(pooled)
+    assert [r.trial_results for r in serial] == [r.trial_results for r in pooled]
+    assert all(len(r.trial_results) == spec.trials for r in serial)
+
+
+def test_run_sweep_starts_no_more_workers_than_trials(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(expcli, "ProcessPoolExecutor", InProcessPool)
+    spec = _tiny_spec()   # 3 schemes x 2 trials = 6 tasks
+    assert run_sweep(spec, threads=8) == run_sweep(spec)
+    assert started == [6]
+    # a single task runs in this process
+    run_sweep(_tiny_spec(schemes=("mpk",), trials=1), threads=2)
+    assert started == [6]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -441,11 +472,16 @@ def test_run_sweep_records_errors_instead_of_aborting():
     ok = by_cell[("proposed", 0.5)]
     assert ok.errors == 0 and math.isfinite(ok.mean_sst)
     assert ok.error_messages == ()
+    assert None not in ok.trial_results
     broken = by_cell[("proposed", 1.0)]
     assert broken.errors == spec.trials
     assert math.isnan(broken.mean_sst)
     assert [msg.split(":")[:2] for msg in broken.error_messages] == [
         [f"trial {t}", " InfeasiblePairError"] for t in range(spec.trials)]
+    # each failed trial's slot is None, and its message names that trial
+    failed = [t for t, r in enumerate(broken.trial_results) if r is None]
+    assert [f"trial {t}" for t in failed] == [
+        msg.split(":")[0] for msg in broken.error_messages]
     # baselines never raise: they report shortfalls instead
     assert by_cell[("rpd", 1.0)].errors == 0
     assert by_cell[("mpk", 1.0)].errors == 0
@@ -457,13 +493,13 @@ def test_sweep_proposed_cell_matches_direct_solver_run():
     row = next(r for r in rows if r.scheme == "proposed")
     scn_seed, _ = derive_trial_seeds(spec.seed, spec.axis, 4, spec.variant, 6,
                                      "proposed", 0)
-    from dataclasses import replace
     cfg = replace(spec.base, num_users=4, capacity=6, rng_seed=scn_seed)
     res = run_solver(generate_scenario(cfg), spec.solver)
     sst, delay, eta = trial_metrics(res)
     assert row.mean_sst == sst
     assert row.mean_delay_s == delay
     assert row.mean_eta == eta
+    assert row.trial_results == (TrialResult(res.sst, sst, delay, eta),)
 
 
 def test_sweep_spec_validation():
@@ -499,11 +535,19 @@ def test_cli_gen_solve_baseline_round_trip(tmp_path, capsys):
     base = json.loads((tmp_path / "base.json").read_text())
     assert base["sst"] >= 0.0
 
-    # stdout route plus trace logging
-    assert main(["solve", "--scenario", scn_path, "--trace", "--iters", "1"]) == 0
+    # stdout route plus trace logging: one line per trace record, in order
+    assert main(["solve", "--scenario", scn_path, "--config", cfg_path,
+                 "--trace", "--iters", "2"]) == 0
     captured = capsys.readouterr()
     assert "\"sst\"" in captured.out
-    assert "iter 1:" in captured.err
+    params = replace(_solver_params(_read_ini(cfg_path)), dual_iters=2)
+    trace = run_solver(load_scenario(scn_path), params).trace
+    assert [rec.t for rec in trace] == [1, 2]
+    assert captured.err.splitlines() == [
+        f"iter {rec.t}: dual={rec.dual_value!r} sst={rec.sst!r} "
+        f"delay_viol={rec.max_delay_violation!r} "
+        f"value_viol={rec.max_value_violation!r} pairs={rec.pairs_matched}"
+        for rec in trace]
 
 
 def test_cli_results_are_strict_json_with_null_for_non_finite(tmp_path):
