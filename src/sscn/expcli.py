@@ -27,6 +27,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -40,7 +41,7 @@ from .pair_opt import InfeasiblePairError, PairOptParams
 from .scenario import (Scenario, ScenarioConfig, ScenarioFormatError,
                        ScenarioGenerationError, config_from_mapping,
                        fields_from_strings, generate_scenario, load_scenario,
-                       save_scenario, scenario_to_text, with_p_max)
+                       scenario_to_text, with_p_max)
 
 CSV_HEADER = ("scheme,axis,axis_value,variant,variant_value,"
               "mean_sst,mean_delay_s,mean_eta,trials,seed,errors")
@@ -310,14 +311,14 @@ def load_sweep_spec(path: str) -> SweepSpec:
 # subcommands
 # --------------------------------------------------------------------------
 
-class _CliParseError(Exception):
-    pass
+class _CliError(Exception):
+    """Bad arguments, or an output file that cannot be written: exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments; 2 is reserved for infeasible
     def error(self, message):  # noqa: D102
-        raise _CliParseError(message)
+        raise _CliError(message)
 
 
 def _load_input_scenario(args) -> Scenario:
@@ -331,15 +332,25 @@ def _load_input_scenario(args) -> Scenario:
         if args.seed is not None:
             cfg = replace(cfg, rng_seed=args.seed)
         return generate_scenario(cfg)
-    raise _CliParseError("provide --scenario or --config")
+    raise _CliError("provide --scenario or --config")
+
+
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an ``--out`` path whose directory is missing, before any work."""
+    folder = os.path.dirname(out or "") or "."
+    if not os.path.isdir(folder):
+        raise _CliError(f"cannot write {out}: no directory {folder}")
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _finite_or_null(value) -> float | None:
@@ -379,11 +390,7 @@ def _write_summary(res: SolveResult, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    scn = _load_input_scenario(args)
-    if args.out:
-        save_scenario(scn, args.out)
-    else:
-        sys.stdout.write(scenario_to_text(scn))
+    _write_out(scenario_to_text(_load_input_scenario(args)), args.out)
     return 0
 
 
@@ -470,8 +477,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out_dir(args.out)
         return args.func(args)
-    except _CliParseError as exc:
+    except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:

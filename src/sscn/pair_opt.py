@@ -134,21 +134,6 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
-@dataclass(frozen=True)
-class _Direction:
-    """Per-KB coefficient vectors of one link direction (sender -> receiver)."""
-
-    legit: np.ndarray     # probs_s * weights_s, matched KBs only contribute
-    leak: np.ndarray      # probs_s * eaves_probs * weights_s, sender cache only
-    share: np.ndarray     # probs_s, matched traffic share
-    interp: np.ndarray    # probs_s / interp_rates_r, mean interpretation
-    interp_sq: np.ndarray
-    gain_d: float
-    gain_e: float
-    tau_s: float
-    rho_s: float
-
-
 class _SearchMemo:
     """Final (score, power) of every row one direction has searched:
     ``slot_of`` maps a coefficient key to its row of the ``rows`` array."""
@@ -183,11 +168,8 @@ class _PairContext:
         self.bits_per_packet = cfg.packet_bits
         self.p_max = cfg.p_max_w
         self.unit_grid = np.linspace(0.0, 1.0, params.power_grid_points)
-        self.dirs = (
-            self._make_direction(i, j, tau, rho),
-            self._make_direction(j, i, tau, rho),
-        )
-        self._scalars = [np.array([d.gain_d, d.gain_e, d.tau_s, d.rho_s]) for d in self.dirs]
+        self.weights, self.scalars = zip(self._direction(i, j, tau, rho),
+                                         self._direction(j, i, tau, rho))
         # golden-section steps that shrink the widest bracket a grid search can
         # return, two grid intervals of p_max, to POWER_TOL_FRAC * p_max
         width = 2.0 / (params.power_grid_points - 1)
@@ -195,41 +177,33 @@ class _PairContext:
                                              / math.log(_INVPHI)))
         self._memo = (_SearchMemo(), _SearchMemo())
 
-    def _make_direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray) -> _Direction:
+    def _direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray):
+        """Direction s -> r's (5, K) per-KB weights of legit, share, interp,
+        interp_sq and leak, and its scalars gain_d, gain_e, tau_s and rho_s."""
         cat = self.scn.catalog
         probs_s = cat.user_probs[s]
         interp = probs_s / cat.interp_rates[r]
-        return _Direction(
-            legit=probs_s * cat.user_weights[s],
-            leak=probs_s * cat.eaves_probs * cat.user_weights[s],
-            share=probs_s,
-            interp=interp,
-            interp_sq=interp**2,
-            gain_d=float(self.scn.gain_d[s, r]),
-            gain_e=float(self.scn.gain_e[s]),
-            tau_s=float(tau[s]),
-            rho_s=float(rho[s]),
-        )
+        weights = np.vstack((probs_s * cat.user_weights[s], probs_s, interp, interp**2,
+                             probs_s * cat.eaves_probs * cat.user_weights[s]))
+        return weights, np.array([self.scn.gain_d[s, r], self.scn.gain_e[s], tau[s], rho[s]])
 
     def _coeffs(self, sender_bits: np.ndarray, matched: np.ndarray, which: int) -> np.ndarray:
         """(n, 9) search inputs of direction ``which``, one row per candidate:
-        the five coefficients legit, leak, share, interp and interp_sq, on
-        which its power search depends, then the direction's gain_d, gain_e,
-        tau_s and rho_s.  A single candidate (1-D bits) gives one (9,) row."""
-        d = self.dirs[which]
-        rows = np.empty(matched.shape[:-1] + (9,))
-        rows[..., 0] = matched @ d.legit
-        rows[..., 1] = sender_bits @ d.leak
-        rows[..., 2] = matched @ d.share
-        rows[..., 3] = matched @ d.interp
-        rows[..., 4] = matched @ d.interp_sq
-        rows[..., 5:] = self._scalars[which]
+        legit, share, interp and interp_sq summed over the matched KBs, leak
+        summed over the sender's cache, then the direction's gain_d, gain_e,
+        tau_s and rho_s.  einsum sums each row on its own, so a row's inputs
+        do not depend on the batch it comes in, as a matrix product's may."""
+        weights = self.weights[which]
+        rows = np.empty((matched.shape[0], 9))
+        rows[:, :4] = np.einsum("nk,ck->nc", matched, weights[:4])
+        rows[:, 4] = np.einsum("nk,k->n", sender_bits, weights[4])
+        rows[:, 5:] = self.scalars[which]
         return rows
 
     def _compose(self, cols, rd, re):
         """Directed score, secrecy value and delay (broadcasting helper).
         ``cols`` holds the nine search inputs of ``_coeffs`` along axis 0."""
-        legit, leak, share, interp, interp_sq, _, _, tau_s, rho_s = cols
+        legit, share, interp, interp_sq, leak, _, _, tau_s, rho_s = cols
         v_s = np.maximum((rd * legit - re * leak) / self.bits_per_packet, 0.0)
         util = rd * interp / self.bits_per_packet
         stable = util < 1.0 - STABILITY_GUARD
@@ -261,7 +235,7 @@ class _PairContext:
         [0, bound] instead of [0, p_max] keeps the grid resolution of the
         stable interval independent of the power budget.
         """
-        interp, gain_d = cols[3], cols[5]
+        interp, gain_d = cols[2], cols[5]
         with np.errstate(over="ignore"):
             exponent = np.where(interp > 0.0,
                                 self.bits_per_packet / (np.maximum(interp, 1e-300)
@@ -312,12 +286,8 @@ class _PairContext:
 
     def evaluate(self, cands: np.ndarray):
         """Scores and per-direction optimized powers for (n, 2K) candidates.
-
-        Keys are the exact coefficient bytes rather than the cache bits: a
-        batched matrix product can round a row differently depending on the
-        batch around it, and keying on its output keeps every result equal
-        to a fresh search of the same batch.
-        """
+        Each candidate's search inputs, hence its result, depend on its caches
+        alone, whatever batch it comes in."""
         cands = np.asarray(cands, dtype=float)
         k = self.k
         ci, cj = cands[:, :k], cands[:, k:]
@@ -331,10 +301,12 @@ class _PairContext:
 
         Each direction is maximized by a grid search over its stable power
         interval plus, with ``power_refine``, ``golden_steps`` golden-section
-        steps on the best grid bracket.  Both depend only on the row, so each
-        distinct row is searched once per context, i.e. once per subproblem
-        call, where prices are fixed.  The rows missing from both directions
-        are searched together in one grid pass and one golden-section pass.
+        steps on the best grid bracket.  Both depend only on the row, and a
+        row only on its candidate's caches, so each distinct row is searched
+        once per context, i.e. once per subproblem call, where prices are
+        fixed, and the memo keys on its bytes.  The rows missing from both
+        directions are searched together in one grid pass and one
+        golden-section pass.
         """
         keys = [_row_keys(c) for c in coeffs]
         # per direction, one batch row of each distinct key missing from its memo
@@ -352,9 +324,9 @@ class _PairContext:
 
     def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
         """Scalar (v_s, delay, stable) of one direction at a given power."""
-        ci, cj = cands_row[:self.k].astype(float), cands_row[self.k:].astype(float)
-        cols = self._coeffs(ci if which == 0 else cj, ci * cj, which)
-        _, v_s, delay, stable = self._compose(cols, *self._rates_at(cols, np.asarray([power])))
+        ci, cj = cands_row[None, :self.k].astype(float), cands_row[None, self.k:].astype(float)
+        cols = self._coeffs((ci, cj)[which], ci * cj, which).T
+        _, v_s, delay, stable = self._compose(cols, *self._rates_at(cols, power))
         return float(v_s[0]), float(delay[0]), bool(stable[0])
 
     def finalize(self, joint: np.ndarray, power_i: float, power_j: float) -> PairSolution:
@@ -362,9 +334,9 @@ class _PairContext:
         vs_ji, delay_ji, ok_ji = self.direction_detail(joint, 1, power_j)
         if not (ok_ij and ok_ji):
             raise RuntimeError("optimized powers landed in the unstable region")
-        d0, d1 = self.dirs
-        score = ((1.0 + d0.rho_s) * vs_ij - d0.tau_s * delay_ij
-                 + (1.0 + d1.rho_s) * vs_ji - d1.tau_s * delay_ji)
+        (_, _, tau_i, rho_i), (_, _, tau_j, rho_j) = self.scalars
+        score = ((1.0 + rho_i) * vs_ij - tau_i * delay_ij
+                 + (1.0 + rho_j) * vs_ji - tau_j * delay_ji)
         return PairSolution(
             i=self.i, j=self.j,
             cache_i=CacheVector(self.i, joint[:self.k]),
@@ -608,7 +580,7 @@ def _with_leak(rows: np.ndarray, sets, caches) -> np.ndarray:
     caches ``caches``; ``rows[c]`` holds its inputs for matched set c sent
     from cache c."""
     out = rows[sets]
-    out[:, 1] = rows[caches, 1]
+    out[:, 4] = rows[caches, 4]
     return out
 
 
@@ -648,17 +620,18 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
     power, hence the grid maximum, is nonincreasing in it.  So the bound
     R(S) = f_ij(S, least leak of i over feasible c_i >= S)
          + f_ji(S, least leak of j over feasible c_j >= S)
-    holds for every joint cache matching in S, and is attained, bit for bit
-    through the search memo, when the two least-leak caches meet exactly in
-    S.  Only this bound needs the monotonicity in the leak; an opened set
-    scores every completion.  With golden-section refinement it is checked,
-    not proven: over 675 seeded pairs (K = 3-8; 32, 64 and 256 levels) no
-    refined score of 980,283 (S, cache) rows exceeded the one of a lower
-    leak, and on 2,700 pairs the search equalled the table scan bit for bit.
-    Sets are opened in descending R until R drops below the best score
-    found; a set whose least-leak caches overlap elsewhere, or where a lower
-    code may tie, is searched over all its completions in one batch.  Ties
-    go to the lowest (c_i, c_j) code, the product-order first maximum of
+    holds for every joint cache matching in S, and is attained bit for bit
+    when the two least-leak caches meet exactly in S: a row's search inputs
+    are per-row sums, the same here as in the table scan's batch.  Only this
+    bound needs the monotonicity in the leak; an opened set scores every
+    completion.  With golden-section refinement it is checked, not proven:
+    over 675 seeded pairs (K = 3-8; 32, 64 and 256 levels) no refined score
+    of 980,283 (S, cache) rows exceeded the one of a lower leak, and on
+    2,700 pairs the search equalled the table scan bit for bit.  Sets are
+    opened in descending R until R drops below the best score found; a set
+    whose least-leak caches overlap elsewhere, or where a lower code may
+    tie, is searched over all its completions in one batch.  Ties go to the
+    lowest (c_i, c_j) code, the product-order first maximum of
     ``_enumerate_table``.
     """
     scn, k = ctx.scn, ctx.k
@@ -668,15 +641,9 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
     feasible = [_cache_feasible(bits, scn, user) for user in (ctx.i, ctx.j)]
     if not (feasible[0].any() and feasible[1].any()):
         raise _no_joint_cache(scn, ctx.i, ctx.j)
-    if feasible[0].sum() == feasible[1].sum() == 1:
-        # numpy takes a one-row product as a dot, which rounds unlike a
-        # batch; score the one joint cache as the table scan does
-        joint = table[[int(np.argmax(feasible[0])), int(np.argmax(feasible[1]))]].ravel()
-        _, p_i, p_j = ctx.evaluate(joint[None, :])
-        return ctx.finalize(joint, float(p_i[0]), float(p_j[0]))
     # rows[w][c]: direction w's search inputs with matched set c sent from cache c
     rows = [ctx._coeffs(bits, bits, w) for w in (0, 1)]
-    (arg_i, low_i), (arg_j, low_j) = (_superset_min(rows[w][:, 1], feasible[w]) for w in (0, 1))
+    (arg_i, low_i), (arg_j, low_j) = (_superset_min(rows[w][:, 4], feasible[w]) for w in (0, 1))
     sets = np.flatnonzero((arg_i < n) & (arg_j < n))
     a_i, a_j = arg_i[sets], arg_j[sets]
     f_ij, f_ji = ctx.search((_with_leak(rows[0], sets, a_i), _with_leak(rows[1], sets, a_j)))

@@ -652,6 +652,28 @@ def test_cli_missing_scenario_file_is_a_config_error(tmp_path, capsys):
         assert err.startswith("config error: cannot read scenario") and missing in err
 
 
+@pytest.mark.parametrize("command", ["gen", "solve", "baseline", "sweep"])
+def test_cli_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, command):
+    # a missing output directory is refused before any scenario is drawn; a
+    # write that fails at the end (here: --out names a directory) exits 3 too
+    cfg_path = write(tmp_path, "cfg.ini", SCENARIO_4 + FAST_SOLVER +
+                     "[sweep]\naxis = num_users\naxis_values = 4\n"
+                     "variant = capacity\nvariant_values = 6\ntrials = 1\n")
+    argv = [command, "--config", cfg_path] + (["--kind", "rpd"] if command == "baseline" else [])
+    drawn = []
+    generate = expcli.generate_scenario
+    monkeypatch.setattr(expcli, "generate_scenario", lambda cfg: drawn.append(cfg) or generate(cfg))
+    missing = str(tmp_path / "missing" / "out.txt")
+    for out, work in ((missing, False), (str(tmp_path), True)):
+        assert main(argv + ["--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert bool(drawn) == work
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_rejects_solver_threads_and_bad_sweep_workers(tmp_path, capsys):
     cfg_path = write(tmp_path, "cfg.ini", SCENARIO_4 + FAST_SOLVER)
     threads_key = write(tmp_path, "threads.ini", SCENARIO_4 + "[solver]\nthreads = 2\n")

@@ -286,11 +286,8 @@ def test_tabu_state_fifo_eviction():
 # ------------------------------------------------------ candidate evaluation
 
 def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
-    # A batched matrix product can round a candidate's coefficients
-    # differently depending on the batch around it, so one candidate may be
-    # searched from different coefficients in two batches.  Repeated rows,
-    # repeated batches and overlapping batches must all score exactly as a
-    # context that has seen nothing else.
+    # Repeated rows, repeated batches and overlapping batches must all score
+    # exactly as a context that has seen nothing else.
     scn = _small_generated(seed=3, num_kbs=5)
     tau = np.array([20.0, 5.0])
     rho = np.array([0.5, 1.0])
@@ -307,12 +304,26 @@ def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
         want = _PairContext(scn, 0, 1, tau, rho, params).evaluate(batch)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    # premise: some candidate's coefficients round differently alone and in
-    # a batch
+    # a row's search inputs depend on its caches alone: at K = 5, 8 and 12
+    # every row gets the same bits alone (slices of 1 row), inside each
+    # slice of 2-37 rows, and inside the full 2^K table.  Sender and matched
+    # bits are column views of one array, as in evaluate.
+    for num_kbs in (5, 8, 12):
+        table = _cache_table(num_kbs).astype(float)
+        partner = table[np.random.default_rng(num_kbs).permutation(len(table))]
+        joint = np.hstack((table, table * partner))
+        sender, matched = joint[:, :num_kbs], joint[:, num_kbs:]
+        wide = _PairContext(_small_generated(seed=num_kbs, num_kbs=num_kbs), 0, 1,
+                            tau, rho, params)
+        for w in (0, 1):
+            full = wide._coeffs(sender, matched, w)
+            for size in range(1, 38):
+                for lo in range(0, len(table), size):
+                    assert np.array_equal(wide._coeffs(sender[lo:lo + size],
+                                                       matched[lo:lo + size], w),
+                                          full[lo:lo + size])
     ci, cj = cands[:, :5].astype(float), cands[:, 5:].astype(float)
     rows = [ctx._coeffs(ci, ci * cj, 0), ctx._coeffs(cj, ci * cj, 1)]
-    assert any(not np.array_equal(ctx._coeffs((ci, cj)[w][n], ci[n] * cj[n], w), rows[w][n])
-               for n in range(len(cands)) for w in (0, 1))
     # a refined search depends on its own row alone: each coefficient row
     # gets the same bits searched alone as inside the whole batch
     whole = _PairContext(scn, 0, 1, tau, rho, params).search(rows)
@@ -476,7 +487,7 @@ def _exact_outcome(search, scn, tau, rho, params):
 # its main path.  In the first three a silent direction (best power 0, so
 # its leak does not matter) makes several joint caches tie: within one
 # matched set, and across sets when every joint cache scores 0.  The last
-# has one feasible joint cache, which numpy scores as a one-row product.
+# has one feasible joint cache, so the search meets a one-row batch.
 EDGE_CASES = [
     (dict(num_kbs=5, cell_radius_m=300.0, rng_seed=477730046),
      [40864.297, 34898.986], [4.9741491, 2.5817409], 5),
