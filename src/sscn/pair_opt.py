@@ -8,14 +8,13 @@ to the relaxed network objective is
 
 where each direction's secrecy value and queueing delay depend on the joint
 cache selection and on the sender's transmit power only.  With caches fixed
-the score is separable in the two powers, so each direction is maximized by
-a dense grid search over [0, p_max] plus a fixed number of golden-section
-steps, with the queue-unstable power region excluded, so a direction's
-result depends on its own coefficients alone.  The cache selection itself is
-handled by a tabu search over joint cache vectors seeded from a greedy
-satisfaction-first construction.  The exact optimum, the tabu search's
-oracle, comes from a branch and bound over matched sets S = c_i & c_j
-(catalogs of up to 12 KBs, with or without refinement).
+the score is separable in the two powers, so each direction is maximized
+exactly in rate space over its stable interval (or, without refinement, on
+a power grid), and its result depends on its own coefficients alone.  The
+cache selection itself is handled by a tabu search over joint cache vectors
+seeded from a greedy satisfaction-first construction.  The exact optimum,
+the tabu search's oracle, comes from a branch and bound over matched sets
+S = c_i & c_j (catalogs of up to 12 KBs, with or without refinement).
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from .metrics import ETA_SLACK, CacheVector, pair_value_rates
 from .queueing import STABILITY_GUARD, pk_delay, queue_stats
 from .scenario import Scenario, check_finite
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 
 class InfeasiblePairError(RuntimeError):
     """Raised when no joint cache satisfies capacity and eta_min for a pair."""
@@ -45,8 +41,6 @@ class InfeasiblePairError(RuntimeError):
 TABU_LEN = 64
 GROWTH_EPS = 1.0e-4
 GROWTH_WINDOW = 10
-# golden-section refinement stops at this fraction of p_max
-POWER_TOL_FRAC = 1.0e-6
 # Largest catalogs of the exact search, the matched-set branch and bound, and
 # of the joint-cache table scan that tests judge it against.
 MATCHED_SET_MAX_KBS = 12
@@ -58,12 +52,11 @@ class PairOptParams:
     """Knobs of the per-pair search.
 
     ``sigma`` is the Hamming radius of the tabu neighborhood, ``max_iters``
-    the tabu iteration budget.  Powers are searched on ``power_grid_points``
-    levels and, when ``power_refine`` is set, golden-section refined by a
-    fixed step count, the one that shrinks two grid intervals of p_max to
-    ``POWER_TOL_FRAC * p_max`` (19 steps at 256 levels).  ``exhaustive``
-    replaces the tabu search with the exact search of
-    ``enumerate_pair_optimum``, for catalogs of up to 12 KBs.
+    the tabu iteration budget.  With ``power_refine`` each direction's power
+    is the exact maximum of ``_PairContext._rate_search``; without it, the
+    best of ``power_grid_points`` levels.  ``exhaustive`` replaces the tabu
+    search with the exact search of ``enumerate_pair_optimum``, for catalogs
+    of up to 12 KBs.
     """
 
     sigma: int = 2
@@ -170,11 +163,6 @@ class _PairContext:
         self.unit_grid = np.linspace(0.0, 1.0, params.power_grid_points)
         self.weights, self.scalars = zip(self._direction(i, j, tau, rho),
                                          self._direction(j, i, tau, rho))
-        # golden-section steps that shrink the widest bracket a grid search can
-        # return, two grid intervals of p_max, to POWER_TOL_FRAC * p_max
-        width = 2.0 / (params.power_grid_points - 1)
-        self.golden_steps = max(0, math.ceil(math.log(POWER_TOL_FRAC / width)
-                                             / math.log(_INVPHI)))
         self._memo = (_SearchMemo(), _SearchMemo())
 
     def _direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray):
@@ -245,44 +233,77 @@ class _PairContext:
         return np.minimum(self.p_max, boundary)
 
     def _grid_search(self, cols):
-        """Best grid power of each column of search inputs.  Returns (best
-        score, best power, bracket lo, bracket hi) arrays; the bracket spans
-        the grid neighbours of the best level."""
+        """Best grid power of each column of search inputs, as (best score,
+        best power) arrays."""
         upper = self._power_bound(cols)
         grid = upper[:, None] * self.unit_grid[None, :]
         scores = self._score_at(cols[:, :, None], grid)
         idx = np.argmax(scores, axis=1)
         at = np.arange(scores.shape[0])
-        last = len(self.unit_grid) - 1
-        return (scores[at, idx], grid[at, idx],
-                grid[at, np.maximum(idx - 1, 0)], grid[at, np.minimum(idx + 1, last)])
+        return scores[at, idx], grid[at, idx]
 
-    def _golden(self, cols, best, best_p, lo, hi):
-        """Golden-section refinement of each column's bracket, by
-        ``golden_steps`` steps; returns (best score, best power) arrays."""
-        a, b = lo, hi
-        x1 = a + _INVPHI2 * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        f1, f2 = self._score_at(cols, x1), self._score_at(cols, x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            better = fx > best
-            best = np.where(better, fx, best)
-            best_p = np.where(better, x, best_p)
-        for _ in range(self.golden_steps):
-            left = f1 >= f2
-            x1o, x2o, f1o, f2o = x1, x2, f1, f2
-            b = np.where(left, x2o, b)
-            a = np.where(left, a, x1o)
-            x1 = np.where(left, a + _INVPHI2 * (b - a), x2o)
-            x2 = np.where(left, x1o, a + _INVPHI * (b - a))
-            fresh = np.where(left, x1, x2)
-            ff = self._score_at(cols, fresh)
-            f1 = np.where(left, ff, f2o)
-            f2 = np.where(left, f1o, ff)
-            better = ff > best
-            best = np.where(better, ff, best)
-            best_p = np.where(better, fresh, best_p)
-        return best, best_p
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _rate_search(self, cols):
+        """Exact best (score, power) arrays of the columns of search inputs.
+
+        In rate space x = rd on [0, x_top], x_top = min(rate at p_max, (1 - 2 *
+        STABILITY_GUARD) * bits / interp), the optimum is max(0, max g) for the
+        unclipped score g(x) = A * (legit * x - leak * re(x)) - tau * c * x /
+        (1 - u*x), A = (1 + rho) / bits, u = interp / bits.  g'' falls with x,
+        so g is concave, or convex then concave.  Rows settled by the signs of
+        g' and g'' at the ends take an end; the others take safeguarded Newton
+        steps on h = (1 - u*x)^2 * g', which has no pole, in the bracket where
+        "g'' > 0 or g' > 0" turns false, each row stopping on its own test.  Of
+        the powers at 0, the root and x_top, the first best scoring wins.
+        """
+        legit, share, interp, interp_sq, leak, gain_d, gain_e, tau_s, rho_s = cols
+        bits, band, ln2_b = self.bits_per_packet, self.bandwidth, math.log(2.0) / self.bandwidth
+        c = np.where(share > 0.0, (interp**2 + interp_sq) / (2.0 * bits * share), 0.0)
+        # per row: A, legit, leak, k = gain_e / gain_d, u and tau * c
+        rows = np.array([(1.0 + rho_s) / bits, legit, leak, gain_e / gain_d, interp / bits,
+                         tau_s * c])
+        full = band * np.log2(1.0 + self.p_max * gain_d / self.noise)  # the rate at p_max
+        top = np.minimum(full, (1.0 - 2.0 * STABILITY_GUARD) / rows[4])
+
+        def slopes(x, at):
+            """(A * (legit - leak * re'), 1 - u*x, h, h', g'') at x of rows ``at``."""
+            amp, legit, leak, k, u, tc = rows[:, at]
+            y = np.exp2(x / band)
+            den = 1.0 - k + k * y
+            dq = k * (1.0 - k) * y * ln2_b / den**2
+            gap = 1.0 - u * x
+            val = amp * (legit - leak * k * y / den)
+            return (val, gap, gap**2 * val - tc, -gap * (2.0 * u * val + gap * amp * leak * dq),
+                    -amp * leak * dq - 2.0 * tc * u / gap**3)
+
+        every = np.arange(top.shape[0])
+        val_top, _, h_top, _, d2_top = slopes(top, every)
+        _, _, h_0, _, d2_0 = slopes(np.zeros_like(top), every)
+        best = np.where((h_top >= 0.0) | (d2_top >= 0.0), top, 0.0)
+        at = np.flatnonzero((h_top < 0.0) & (d2_top < 0.0) & ((h_0 > 0.0) | (d2_0 > 0.0)))
+        lo, hi, tol = np.zeros(at.shape), top[at], 1e-12 * top[at]
+        # start at the root of g' with re' frozen at its value at x_top
+        x = (1.0 - np.sqrt(rows[5, at] / val_top[at])) / rows[4, at]
+        x = np.where((x > lo) & (x < hi), x, 0.5 * hi)
+        for _ in range(64):  # a guard: rows stop on their own test in a few steps
+            if not at.size:
+                break
+            _, gap, h, dh, d2 = slopes(x, at)
+            left = (h > 0.0) | (d2 > 0.0)
+            lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+            # g'' falls: past a convex x, g' <= g'(x) + g''(x) (hi - x); if that is <= 0, 0 wins
+            stuck = (h <= 0.0) & (d2 > 0.0) & (h + gap**2 * d2 * (hi - x) <= 0.0)
+            best[at] = np.where(stuck, 0.0, x)
+            newton = x - h / dh
+            going = ~stuck & (np.abs(newton - x) > tol) & (hi - lo > tol)
+            step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            at, x, lo, hi, tol = at[going], step[going], lo[going], hi[going], tol[going]
+        rates = np.vstack((np.zeros_like(top), best, top))
+        powers = np.where(rates < full, np.minimum(
+            self.p_max, self.noise * np.expm1(rates * ln2_b) / gain_d), self.p_max)
+        scores = self._score_at(cols[:, None, :], powers)
+        pick = np.argmax(scores, axis=0)
+        return scores[pick, every], powers[pick, every]
 
     def evaluate(self, cands: np.ndarray):
         """Scores and per-direction optimized powers for (n, 2K) candidates.
@@ -299,14 +320,13 @@ class _PairContext:
         """(n, 2) arrays of best (score, power), one per direction, for the
         rows of that direction's search inputs (``_coeffs`` rows).
 
-        Each direction is maximized by a grid search over its stable power
-        interval plus, with ``power_refine``, ``golden_steps`` golden-section
-        steps on the best grid bracket.  Both depend only on the row, and a
-        row only on its candidate's caches, so each distinct row is searched
-        once per context, i.e. once per subproblem call, where prices are
-        fixed, and the memo keys on its bytes.  The rows missing from both
-        directions are searched together in one grid pass and one
-        golden-section pass.
+        Each direction is maximized exactly in rate space with
+        ``power_refine``, else on a grid over its stable power interval.
+        Either result depends only on the row, and a row only on its
+        candidate's caches, so each distinct row is searched once per
+        context, i.e. once per subproblem call, where prices are fixed, and
+        the memo keys on its bytes.  The rows missing from both directions
+        are searched together in one pass.
         """
         keys = [_row_keys(c) for c in coeffs]
         # per direction, one batch row of each distinct key missing from its memo
@@ -314,10 +334,8 @@ class _PairContext:
                  for memo, key in zip(self._memo, keys)]
         if fresh[0] or fresh[1]:
             cols = np.vstack([c[list(f.values())] for c, f in zip(coeffs, fresh)]).T
-            found = self._grid_search(cols)
-            if self.params.power_refine:
-                found = self._golden(cols, *found)
-            found = np.column_stack(found[:2])
+            found = np.column_stack((self._rate_search if self.params.power_refine
+                                     else self._grid_search)(cols))
             self._memo[0].add(list(fresh[0]), found[:len(fresh[0])])
             self._memo[1].add(list(fresh[1]), found[len(fresh[0]):])
         return [memo.gather(key) for memo, key in zip(self._memo, keys)]
@@ -616,18 +634,17 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
 
     S fixes a direction's legit, share, interp and interp_sq coefficients
     and its stable power interval, which reads only interp and gain_d; the
-    sender's leak is the one coefficient left, and the score at every grid
-    power, hence the grid maximum, is nonincreasing in it.  So the bound
+    sender's leak is the one coefficient left, and the score at every power,
+    hence both the grid maximum and the exact maximum, is nonincreasing in
+    it.  So the bound
     R(S) = f_ij(S, least leak of i over feasible c_i >= S)
          + f_ji(S, least leak of j over feasible c_j >= S)
     holds for every joint cache matching in S, and is attained bit for bit
     when the two least-leak caches meet exactly in S: a row's search inputs
     are per-row sums, the same here as in the table scan's batch.  Only this
     bound needs the monotonicity in the leak; an opened set scores every
-    completion.  With golden-section refinement it is checked, not proven:
-    over 675 seeded pairs (K = 3-8; 32, 64 and 256 levels) no refined score
-    of 980,283 (S, cache) rows exceeded the one of a lower leak, and on
-    2,700 pairs the search equalled the table scan bit for bit.  Sets are
+    completion.  With refinement it holds up to the rounding of the exact
+    search, which the equivalence test with the table scan checks.  Sets are
     opened in descending R until R drops below the best score found; a set
     whose least-leak caches overlap elsewhere, or where a lower code may
     tie, is searched over all its completions in one batch.  Ties go to the

@@ -42,12 +42,15 @@ class ScenarioFormatError(ValueError):
 
 
 def check_finite(obj) -> None:
-    """Raise ValueError naming the first attribute of ``obj`` (or entry of a
-    tuple attribute) that is a NaN or infinite float."""
+    """Raise ValueError naming the first attribute of dataclass ``obj`` (or tuple
+    entry) that is a NaN or infinite float, or is not an integer in an int field."""
+    integral = {f.name for f in fields(obj) if f.type in ("int", "tuple[int, int]")}
     for name, value in vars(obj).items():
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, float) and not math.isfinite(item):
                 raise ValueError(f"{name} must be finite, got {item!r}")
+            if name in integral and not isinstance(item, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {item!r}")
 
 
 def dbm_to_watts(value_dbm: float) -> float:

@@ -399,6 +399,7 @@ def test_solver_raises_when_every_pair_is_infeasible():
 @pytest.mark.parametrize("kwargs", [
     dict(dual_iters=0), dict(tau_init=-1.0), dict(rho_init=-0.5),
     dict(tau_init=math.nan), dict(rho_init=math.inf), dict(matching_mode="psychic"),
+    dict(dual_iters=1.5),
 ])
 def test_solver_params_validation(kwargs):
     with pytest.raises(ValueError):

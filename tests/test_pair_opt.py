@@ -16,7 +16,7 @@ from sscn.pair_opt import (InfeasiblePairError, PairOptParams, TabuState,
                            greedy_single_cache, initial_kbc, neighborhood,
                            optimize_powers, pair_score, solve_pair_subproblem,
                            stable_power_upper_bound)
-from sscn.queueing import pk_delay, queue_stats
+from sscn.queueing import STABILITY_GUARD, pk_delay, queue_stats
 from sscn.scenario import ScenarioConfig, generate_scenario
 
 FULL1 = (CacheVector(0, [1]), CacheVector(1, [1]))
@@ -142,6 +142,109 @@ def test_power_search_respects_stability_bound():
     assert p_i <= bound * (1 + 1e-12) and p_j <= bound * (1 + 1e-12)
     assert math.isfinite(score)
     assert pair_score(slow, 0, 1, *FULL1, p_i, p_j, 0, 0, 0, 0) > -math.inf
+
+
+# Rows of the exact power search, each made from a generated direction's
+# search inputs: (k = gain_e / gain_d, leak / legit, a factor on interp, tau),
+# None keeping the generated value; then the curvature signs of the
+# unclipped score g over the rate interval (+1 convex, -1 concave), the cap
+# that sets the top rate, and whether the secrecy value is positive anywhere.
+RATE_SEARCH_ROWS = {
+    "k <= 1": ((None, None, 1.0, None), [-1], "stability", True),
+    "k <= 1, tau 1e4": ((None, None, 1.0, 1e4), [-1], "stability", True),
+    "k <= 1, tau 0": ((None, None, 0.01, 0.0), [-1], "p_max", True),
+    "k > 1, convex then concave": ((2.0, 1 / 3, 1.0, None), [1, -1], "stability", True),
+    "k > 1, convex then concave, tau 30": ((2.0, 1 / 3, 1.0, 30.0), [1, -1], "stability", True),
+    "k > 1, convex": ((20.0, 1 / 3, 0.01, None), [1], "p_max", True),
+    "share 0": ((None, None, 0.0, None), [-1], "p_max", False),
+    "value negative everywhere": ((2.0, 2.0, 1.0, None), [1, -1], "stability", False),
+}
+
+
+def _rate_top(ctx, row):
+    """Top of the row's rate interval, and the cap that sets it."""
+    interp, gain_d = row[2], row[5]
+    top = ctx.bandwidth * math.log2(1.0 + ctx.p_max * gain_d / ctx.noise)
+    stable = (1.0 - 2.0 * STABILITY_GUARD) * ctx.bits_per_packet / interp if interp else top
+    return (stable, "stability") if stable < top else (top, "p_max")
+
+
+def _scanned_best(ctx, row, points=100_001):
+    """Best score of the row on ``points`` rates evenly spread over its rate
+    interval, then on as many across the two steps around the best of those."""
+    def best_on(rates):
+        powers = ctx.noise * np.expm1(rates * math.log(2.0) / ctx.bandwidth) / row[5]
+        scores = ctx._score_at(row[:, None], np.minimum(ctx.p_max, powers))
+        return int(np.argmax(scores)), scores.max()
+
+    rates = np.linspace(0.0, _rate_top(ctx, row)[0], points)
+    at, coarse = best_on(rates)
+    return max(coarse, best_on(np.linspace(rates[max(at - 1, 0)],
+                                           rates[min(at + 1, points - 1)], points))[1])
+
+
+def test_rate_search_is_exact_on_every_row_shape():
+    scn = _small_generated(seed=7, num_kbs=4)
+    tau, rho = np.ones(2), np.full(2, 0.5)
+    ctx = _PairContext(scn, 0, 1, tau, rho, PairOptParams())
+    full = np.ones((1, 4))
+    base = ctx._coeffs(full, full, 0)[0]
+    rows = []
+    for (k, leak, interp, tau_s), _, _, _ in RATE_SEARCH_ROWS.values():
+        row = base.copy()
+        row[2:4] *= (interp, interp**2)
+        if interp == 0.0:
+            row[:2] = 0.0  # nothing matched: no legit value, no share
+        row[6] = row[6] if k is None else k * row[5]
+        row[4] = row[4] if leak is None else leak * row[0]
+        row[7] = row[7] if tau_s is None else tau_s
+        rows.append(row)
+    # every distinct row of three more generated pairs' joint caches, each
+    # pair at its own price
+    joint = _cache_table(6).astype(float)
+    for seed, tau_s in ((3, 0.0), (4, 1e2), (5, 1e4)):
+        other = _PairContext(_small_generated(seed=seed), 0, 1, np.full(2, tau_s), rho,
+                             PairOptParams())
+        for w, sender in enumerate((joint[:, :3], joint[:, 3:])):
+            rows.extend(np.unique(other._coeffs(sender, joint[:, :3] * joint[:, 3:], w), axis=0))
+    rows = np.array(rows)
+    band, bits = ctx.bandwidth, ctx.bits_per_packet
+    for (_, shape, cap, positive), row in zip(RATE_SEARCH_ROWS.values(), rows):
+        legit, share, interp, interp_sq, leak, gain_d, gain_e, tau_s, rho_s = row
+        top, row_cap = _rate_top(ctx, row)
+        rates = np.linspace(0.0, top, 2001)
+        value = legit * rates - leak * band * np.log2(
+            1.0 + gain_e / gain_d * np.expm1(rates * math.log(2.0) / band))
+        c = (interp**2 + interp_sq) / (2.0 * bits * share) if share > 0.0 else 0.0
+        g = (1.0 + rho_s) * value / bits - tau_s * c * rates / (1.0 - rates * interp / bits)
+        signs = np.sign(np.diff(g, 2))
+        assert [int(s) for s in signs[np.r_[True, signs[1:] != signs[:-1]]]] == shape
+        assert row_cap == cap and bool((value[1:] > 0.0).any()) == positive
+
+    score, power = ctx._rate_search(rows.T)
+    grid, _ = _PairContext(scn, 0, 1, tau, rho, PairOptParams(power_refine=False)) \
+        ._grid_search(rows.T)
+    assert np.all(score >= grid - 1e-10 * np.abs(grid))
+    assert np.all((power >= 0.0) & (power <= ctx.p_max))
+    assert ctx._compose(rows.T, *ctx._rates_at(rows.T, power))[3].all()
+    for n, row in enumerate(rows):
+        scan = _scanned_best(ctx, row)
+        assert_close(score[n], scan, rel=1e-9)
+    for n, (_, _, cap, positive) in enumerate(RATE_SEARCH_ROWS.values()):
+        assert (score[n] > 0.0) == positive
+        # the delay pole puts a stability-capped row's peak inside the interval,
+        # where the Newton steps run; the p_max-capped rows peak at an end
+        top = ctx.noise * np.expm1(_rate_top(ctx, rows[n])[0] * math.log(2.0) / band) / rows[n, 5]
+        assert (0.0 < power[n] < top * (1.0 - 1e-9)) == (positive and cap == "stability")
+        assert (power[n] == ctx.p_max) == (positive and cap == "p_max")
+    # a row's result is the same bits alone as in any batch
+    for batch in (rows[::-1], np.tile(rows, (2, 1)), rows[1::3]):
+        got = ctx._rate_search(batch.T)
+        for s, p, row in zip(*got, batch):
+            alone = ctx._rate_search(row[:, None])
+            assert (s, p) == (alone[0][0], alone[1][0])
+            n = int(np.flatnonzero((rows == row).all(axis=1))[0])
+            assert (s, p) == (score[n], power[n])
 
 
 # ------------------------------------------------------------ cache seeding
@@ -353,7 +456,7 @@ def test_evaluate_full_table_memo_hits_match_fresh_context(refine, monkeypatch):
         raise AssertionError("a repeated batch must not be searched again")
 
     monkeypatch.setattr(ctx, "_grid_search", no_search)
-    monkeypatch.setattr(ctx, "_golden", no_search)
+    monkeypatch.setattr(ctx, "_rate_search", no_search)
     second = ctx.evaluate(table)
     fresh = _PairContext(scn, 0, 1, tau, rho, params).evaluate(table)
     for a, b, c in zip(first, second, fresh):
@@ -362,18 +465,18 @@ def test_evaluate_full_table_memo_hits_match_fresh_context(refine, monkeypatch):
 
 
 # run_solver outputs with the default SolverParams (apart from dual_iters=2)
-# on two small scenarios, recorded with the fixed golden-section step count;
+# on two small scenarios, recorded with the exact rate-space power search;
 # every later evaluation scheme must reproduce them.
 SOLVER_FINGERPRINTS = [
     (dict(num_users=6, num_kbs=5, cell_radius_m=100.0, rng_seed=11),
-     477.89520343133324,
-     [0.00013632355817064335, 0.010733645790248238, 0.00023641048432449473,
-      0.0011480564204657327, 0.00044101575696967255, 0.013382082749726267],
+     477.8952791311757,
+     [0.0001363236084266449, 0.01073365893769187, 0.00023641068070267933,
+      0.0011480567535124212, 0.00044101578446033735, 0.013382070055686195],
      ["11000", "10100", "00011", "10111", "00011", "10100"]),
     (dict(num_users=8, num_kbs=8, rng_seed=12),
-     715.3013330881281,
-     [0.0, 0.11460897103099191, 0.000798787643336314, 0.08756991044273543,
-      0.0, 0.014347880201066471, 0.01434828632113516, 0.0007686617082489045],
+     715.301332334106,
+     [0.0, 0.11460897071826737, 0.0007987874765336312, 0.08756993596173225,
+      0.0, 0.014347889170496649, 0.014348267898831524, 0.0007686622095032104],
      ["10000100", "00010110", "01100100", "00110100", "00010001", "00010010",
       "10100010", "01000110"]),
 ]
@@ -616,6 +719,8 @@ def test_warm_start_seed_validation_and_quality():
     # catches these
     dict(sigma=math.nan), dict(max_iters=math.nan),
     dict(power_grid_points=math.nan), dict(sigma=math.inf),
+    # a non-integral count would pass the bounds and fail inside numpy
+    dict(sigma=1.5), dict(max_iters=2.5),
 ])
 def test_pair_opt_params_validation(kwargs):
     with pytest.raises(ValueError):

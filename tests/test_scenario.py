@@ -251,6 +251,8 @@ def test_fields_from_strings_types_by_field_default():
     dict(num_users=2, capacity=0),
     dict(num_users=2, interp_time_range=(0.0, 1.0)),
     dict(num_users=2, delay_max_s=0.0),
+    dict(num_users=4.5),
+    dict(num_users=2, kb_size_range=(1, 2.5)),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
