@@ -199,8 +199,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     cells = [(a, v, s) for a in spec.axis_values
              for v in spec.variant_values for s in spec.schemes]
     tasks = [(spec, a, v, s, trial) for a, v, s in cells for trial in range(spec.trials)]
-    # a fork pool starts all its workers at once; start no idle ones
-    workers = min(threads, len(tasks))
+    # a fork pool starts all its workers at once; start no idle ones, and no
+    # more than there are cores to run them
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=1))

@@ -127,25 +127,6 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
-class _SearchMemo:
-    """Final (score, power) of every row one direction has searched:
-    ``slot_of`` maps a coefficient key to its row of the ``rows`` array."""
-
-    def __init__(self) -> None:
-        self.slot_of: dict[bytes, int] = {}
-        self.rows = np.empty((0, 2))
-
-    def add(self, keys: list[bytes], rows: np.ndarray) -> None:
-        start = len(self.slot_of)
-        self.slot_of.update(zip(keys, range(start, start + len(keys))))
-        self.rows = np.concatenate((self.rows, rows))
-
-    def gather(self, keys: list[bytes]) -> np.ndarray:
-        slots = np.fromiter(map(self.slot_of.__getitem__, keys), dtype=np.intp,
-                            count=len(keys))
-        return self.rows[slots]
-
-
 class _PairContext:
     """Precomputed constants for vectorized candidate evaluation of one pair."""
 
@@ -163,7 +144,6 @@ class _PairContext:
         self.unit_grid = np.linspace(0.0, 1.0, params.power_grid_points)
         self.weights, self.scalars = zip(self._direction(i, j, tau, rho),
                                          self._direction(j, i, tau, rho))
-        self._memo = (_SearchMemo(), _SearchMemo())
 
     def _direction(self, s: int, r: int, tau: np.ndarray, rho: np.ndarray):
         """Direction s -> r's (5, K) per-KB weights of legit, share, interp,
@@ -322,23 +302,13 @@ class _PairContext:
 
         Each direction is maximized exactly in rate space with
         ``power_refine``, else on a grid over its stable power interval.
-        Either result depends only on the row, and a row only on its
-        candidate's caches, so each distinct row is searched once per
-        context, i.e. once per subproblem call, where prices are fixed, and
-        the memo keys on its bytes.  The rows missing from both directions
-        are searched together in one pass.
+        Every row is searched where it is asked, both directions' rows in one
+        pass, and its result depends on the row alone.
         """
-        keys = [_row_keys(c) for c in coeffs]
-        # per direction, one batch row of each distinct key missing from its memo
-        fresh = [{k: at for at, k in enumerate(key) if k not in memo.slot_of}
-                 for memo, key in zip(self._memo, keys)]
-        if fresh[0] or fresh[1]:
-            cols = np.vstack([c[list(f.values())] for c, f in zip(coeffs, fresh)]).T
-            found = np.column_stack((self._rate_search if self.params.power_refine
-                                     else self._grid_search)(cols))
-            self._memo[0].add(list(fresh[0]), found[:len(fresh[0])])
-            self._memo[1].add(list(fresh[1]), found[len(fresh[0]):])
-        return [memo.gather(key) for memo, key in zip(self._memo, keys)]
+        cols = np.vstack(coeffs).T
+        found = np.column_stack((self._rate_search if self.params.power_refine
+                                 else self._grid_search)(cols))
+        return np.split(found, [len(coeffs[0])])
 
     def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
         """Scalar (v_s, delay, stable) of one direction at a given power."""
@@ -729,9 +699,14 @@ def solve_pair_subproblem(
         cache_i, cache_j = initial_kbc(scn, i, j)  # may raise InfeasiblePairError
         joint = np.concatenate((cache_i.bits, cache_j.bits))
     else:
-        joint = np.asarray(initial, dtype=np.uint8).copy()
+        joint = np.asarray(initial)
         if joint.shape != (2 * scn.config.num_kbs,):
             raise ValueError("warm-start joint cache has the wrong length")
+        if not np.isin(joint, (0, 1)).all():
+            raise ValueError("warm-start joint cache must hold only 0/1 entries")
+        joint = joint.astype(np.uint8)
+        if not _feasible(joint[None, :], scn, i, j)[0]:
+            raise ValueError(f"warm-start joint cache is infeasible for pair ({i}, {j})")
     ctx = _PairContext(scn, i, j, tau, rho, params)
     state = TabuState(TABU_LEN)
     scores, p_i, p_j = ctx.evaluate(joint[None, :])

@@ -407,7 +407,9 @@ def test_run_sweep_thread_count_does_not_change_results():
     assert all(len(r.trial_results) == spec.trials for r in serial)
 
 
-def test_run_sweep_starts_no_more_workers_than_trials(monkeypatch):
+def _record_pool_sizes(monkeypatch, cores):
+    """Replace the sweep's process pool with one that records its worker
+    count and maps in this process, on a machine of ``cores`` cores."""
     started = []
 
     class InProcessPool:
@@ -424,12 +426,30 @@ def test_run_sweep_starts_no_more_workers_than_trials(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(expcli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(expcli.os, "cpu_count", lambda: cores)
+    return started
+
+
+def test_run_sweep_starts_no_more_workers_than_trials(monkeypatch):
+    started = _record_pool_sizes(monkeypatch, cores=64)
     spec = _tiny_spec()   # 3 schemes x 2 trials = 6 tasks
     assert run_sweep(spec, threads=8) == run_sweep(spec)
     assert started == [6]
     # a single task runs in this process
     run_sweep(_tiny_spec(schemes=("mpk",), trials=1), threads=2)
     assert started == [6]
+
+
+def test_run_sweep_starts_no_more_workers_than_cores(monkeypatch):
+    started = _record_pool_sizes(monkeypatch, cores=2)
+    spec = _tiny_spec()   # 6 tasks
+    assert run_sweep(spec, threads=500) == run_sweep(spec)
+    assert started == [2]
+    # one core, or a count the platform cannot tell, runs in this process
+    for cores in (1, None):
+        monkeypatch.setattr(expcli.os, "cpu_count", lambda: cores)
+        run_sweep(spec, threads=500)
+    assert started == [2]
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -12,7 +12,7 @@ from sscn.dual import SolverParams, run_solver
 from sscn.metrics import ETA_SLACK, CacheVector, pair_value_rates
 from sscn.pair_opt import (InfeasiblePairError, PairOptParams, TabuState,
                            _best_completion, _cache_table, _enumerate_table,
-                           _PairContext, enumerate_pair_optimum,
+                           _feasible, _PairContext, enumerate_pair_optimum,
                            greedy_single_cache, initial_kbc, neighborhood,
                            optimize_powers, pair_score, solve_pair_subproblem,
                            stable_power_upper_bound)
@@ -388,13 +388,14 @@ def test_tabu_state_fifo_eviction():
 
 # ------------------------------------------------------ candidate evaluation
 
-def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
+@pytest.mark.parametrize("refine", [True, False])
+def test_evaluate_repeats_and_overlapping_batches_match_fresh_context(refine):
     # Repeated rows, repeated batches and overlapping batches must all score
     # exactly as a context that has seen nothing else.
     scn = _small_generated(seed=3, num_kbs=5)
     tau = np.array([20.0, 5.0])
     rho = np.array([0.5, 1.0])
-    params = PairOptParams()
+    params = PairOptParams(power_refine=refine)
     cache_i, cache_j = initial_kbc(scn, 0, 1)
     start = np.concatenate((cache_i.bits, cache_j.bits))
     cands = neighborhood(start, 2, TabuState(8), scn, 0, 1)
@@ -427,41 +428,14 @@ def test_evaluate_repeats_and_overlapping_batches_match_fresh_context():
                                           full[lo:lo + size])
     ci, cj = cands[:, :5].astype(float), cands[:, 5:].astype(float)
     rows = [ctx._coeffs(ci, ci * cj, 0), ctx._coeffs(cj, ci * cj, 1)]
-    # a refined search depends on its own row alone: each coefficient row
-    # gets the same bits searched alone as inside the whole batch
+    # the search, refined or on the grid, depends on its own row alone: each
+    # coefficient row gets the same bits searched alone as inside the whole
+    # batch
     whole = _PairContext(scn, 0, 1, tau, rho, params).search(rows)
     for n in range(len(cands)):
         alone = _PairContext(scn, 0, 1, tau, rho, params).search([r[n:n + 1] for r in rows])
         for a, w in zip(alone, whole):
             assert np.array_equal(a[0], w[n])
-
-
-@pytest.mark.parametrize("refine", [False, True])
-def test_evaluate_full_table_memo_hits_match_fresh_context(refine, monkeypatch):
-    # All 4096 joint caches of a 6-KB pair form one batch, as in exhaustive
-    # enumeration.  Many rows share a direction's coefficients, and a second
-    # evaluation on the same context must be answered from the memo alone.
-    scn = _small_generated(seed=5, num_kbs=6)
-    tau = np.array([3.0, 40.0])
-    rho = np.array([0.25, 2.0])
-    params = PairOptParams(power_grid_points=32, power_refine=refine)
-    table = _cache_table(12)
-    assert table.shape[0] == 4096
-    ci, cj = table[:, :6], table[:, 6:]
-    assert len({(a.tobytes(), (a & b).tobytes()) for a, b in zip(ci, cj)}) < 4096
-    ctx = _PairContext(scn, 0, 1, tau, rho, params)
-    first = ctx.evaluate(table)
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("a repeated batch must not be searched again")
-
-    monkeypatch.setattr(ctx, "_grid_search", no_search)
-    monkeypatch.setattr(ctx, "_rate_search", no_search)
-    second = ctx.evaluate(table)
-    fresh = _PairContext(scn, 0, 1, tau, rho, params).evaluate(table)
-    for a, b, c in zip(first, second, fresh):
-        assert np.array_equal(a, c)
-        assert np.array_equal(b, c)
 
 
 # run_solver outputs with the default SolverParams (apart from dual_iters=2)
@@ -711,6 +685,16 @@ def test_warm_start_seed_validation_and_quality():
     warm_joint = np.concatenate((cold.cache_i.bits, cold.cache_j.bits))
     warm = solve_pair_subproblem(scn, 0, 1, tau, rho, initial=warm_joint)
     assert warm.score >= cold.score - 1e-9 * max(abs(cold.score), 1.0)
+    # entries other than 0/1, and a joint cache over capacity, are refused
+    # before any search runs
+    with pytest.raises(ValueError, match="0/1"):
+        solve_pair_subproblem(scn, 0, 1, tau, rho, initial=np.full(6, 2))
+    tight = generate_scenario(ScenarioConfig(num_users=2, num_kbs=5, capacity=6,
+                                             cell_radius_m=50.0, rng_seed=9))
+    over = np.ones(10, dtype=np.uint8)
+    assert not _feasible(over[None, :], tight, 0, 1)[0]
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_pair_subproblem(tight, 0, 1, tau, rho, initial=over)
 
 
 @pytest.mark.parametrize("kwargs", [
