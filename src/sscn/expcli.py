@@ -396,6 +396,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.scenario and args.seed is not None:
+        raise _CliError("--seed overrides rng_seed only with --config; "
+                        "a scenario file is already drawn")
     scn = _load_input_scenario(args)
     params = _solver_params(_read_ini(args.config)) if args.config else SolverParams()
     if args.iters is not None:

@@ -468,11 +468,13 @@ def initial_kbc(scn: Scenario, i: int, j: int) -> tuple[CacheVector, CacheVector
 @functools.lru_cache(maxsize=16)
 def _flip_masks(length: int, sigma: int) -> np.ndarray:
     """Read-only 0/1 masks of every flip set of size 1..sigma of ``length``
-    positions, in ``itertools.combinations`` order by increasing size."""
-    masks = np.zeros((sum(math.comb(length, d) for d in range(1, sigma + 1)), length),
-                     dtype=np.uint8)
+    positions, in ``itertools.combinations`` order by increasing size.  No
+    flip set is larger than ``length``, so any larger sigma gives the same
+    masks as ``sigma = length``."""
+    sizes = range(1, min(sigma, length) + 1)
+    masks = np.zeros((sum(math.comb(length, d) for d in sizes), length), dtype=np.uint8)
     flips = itertools.chain.from_iterable(
-        itertools.combinations(range(length), d) for d in range(1, sigma + 1))
+        itertools.combinations(range(length), d) for d in sizes)
     for row, flip in zip(masks, flips):
         row[list(flip)] = 1
     masks.flags.writeable = False

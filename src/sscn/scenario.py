@@ -42,15 +42,14 @@ class ScenarioFormatError(ValueError):
 
 
 def check_finite(obj) -> None:
-    """Raise ValueError naming the first attribute of dataclass ``obj`` (or tuple
-    entry) that is a NaN or infinite float, or is not an integer in an int field."""
-    integral = {f.name for f in fields(obj) if f.type in ("int", "tuple[int, int]")}
+    """Raise ValueError naming the first attribute of dataclass ``obj`` that is
+    a NaN or infinite float, or is not an integer in an int field."""
+    integral = {f.name for f in fields(obj) if f.type == "int"}
     for name, value in vars(obj).items():
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, float) and not math.isfinite(item):
-                raise ValueError(f"{name} must be finite, got {item!r}")
-            if name in integral and not isinstance(item, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {item!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if name in integral and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def dbm_to_watts(value_dbm: float) -> float:
@@ -96,10 +95,11 @@ class ScenarioConfig:
     """Immutable scenario parameters.
 
     Power levels are supplied in dBm and exposed in watts via the derived
-    ``noise_w`` / ``p_max_w`` fields.  ``kb_size_range`` and
-    ``interp_time_range`` are inclusive (min, max) draws; interpretation
-    times are seconds per packet, storage sizes and ``capacity`` share one
-    abstract storage unit.
+    ``noise_w`` / ``p_max_w`` fields.  KB sizes are drawn from
+    ``kb_size_min..kb_size_max`` and interpretation times from
+    ``[interp_time_min, interp_time_max]``, both bounds inclusive;
+    interpretation times are seconds per packet, storage sizes and
+    ``capacity`` share one abstract storage unit.
     """
 
     num_users: int = 100
@@ -115,9 +115,11 @@ class ScenarioConfig:
     sst_min: float = 50.0
     user_skew: float = 1.2
     eaves_skew: float = 1.2
-    kb_size_range: tuple[int, int] = (1, 5)
+    kb_size_min: int = 1
+    kb_size_max: int = 5
     capacity: int = 24
-    interp_time_range: tuple[float, float] = (5.0e-3, 1.0e-2)
+    interp_time_min: float = 5.0e-3
+    interp_time_max: float = 1.0e-2
     per_user_interp: bool = False
     rng_seed: int = 0
     noise_w: float = field(init=False, repr=False)
@@ -141,16 +143,17 @@ class ScenarioConfig:
             raise ValueError("eta_min must lie in [0, 1]")
         if self.delay_max_s <= 0 or self.sst_min < 0:
             raise ValueError("delay_max_s must be positive and sst_min nonnegative")
-        lo, hi = self.kb_size_range
-        if not (0 < lo <= hi):
-            raise ValueError("kb_size_range must satisfy 0 < min <= max")
+        if not 0 < self.kb_size_min <= self.kb_size_max:
+            raise ValueError("need 0 < kb_size_min <= kb_size_max")
         if self.capacity < 1:
             raise ValueError("capacity must be at least one storage unit")
-        tlo, thi = self.interp_time_range
-        if not (0.0 < tlo <= thi):
-            raise ValueError("interp_time_range must satisfy 0 < min <= max")
-        if thi > MAX_INTERP_TIME_S:
-            raise ValueError(f"interp_time_max = {thi!r} s exceeds {MAX_INTERP_TIME_S!r} s")
+        if not 0.0 < self.interp_time_min <= self.interp_time_max:
+            raise ValueError("need 0 < interp_time_min <= interp_time_max")
+        if self.interp_time_max > MAX_INTERP_TIME_S:
+            raise ValueError(f"interp_time_max = {self.interp_time_max!r} s exceeds "
+                             f"{MAX_INTERP_TIME_S!r} s")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
         # dBm -> watts happens here, exactly once; everything downstream is SI.
         # A level so large it overflows, or so small it rounds to 0 W or to a
         # subnormal float, is rejected: each ends in NaN, division by zero or
@@ -343,10 +346,10 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     m, k = config.num_users, config.num_kbs
     for _ in range(MAX_TOPOLOGY_DRAWS):
         positions = _draw_disk_points(rng, m + 1, config.cell_radius_m)
-        sizes = rng.integers(config.kb_size_range[0], config.kb_size_range[1] + 1, size=k)
+        sizes = rng.integers(config.kb_size_min, config.kb_size_max + 1, size=k)
         user_ranks = np.vstack([rng.permutation(k) + 1 for _ in range(m)])
         eaves_ranks = rng.permutation(k) + 1
-        tlo, thi = config.interp_time_range
+        tlo, thi = config.interp_time_min, config.interp_time_max
         if config.per_user_interp:
             times = rng.uniform(tlo, thi, size=(m, k))
         else:
@@ -410,37 +413,17 @@ def fields_from_strings(cls, mapping: dict[str, str], what: str = "config",
 
 
 def _config_items(config: ScenarioConfig) -> list[tuple[str, str]]:
-    # an inclusive (min, max) range field <stem>_range is written as the
-    # keys <stem>_min and <stem>_max
-    items: list[tuple[str, str]] = []
-    for f in fields(config):
-        if not f.init:
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            stem = f.name.removesuffix("_range")
-            items.append((f"{stem}_min", repr(value[0])))
-            items.append((f"{stem}_max", repr(value[1])))
-        elif isinstance(value, bool):
-            items.append((f.name, "true" if value else "false"))
-        else:
-            items.append((f.name, repr(value)))
-    return items
+    values = [(f.name, getattr(config, f.name)) for f in fields(config) if f.init]
+    return [(name, ("true" if value else "false") if isinstance(value, bool) else repr(value))
+            for name, value in values]
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     """Build a ScenarioConfig from string key/value pairs (file contents)."""
-    kwargs: dict[str, object] = {}
-    pending = dict(mapping)
     try:
-        for f in fields(ScenarioConfig):
-            lo, hi = (f"{f.name.removesuffix('_range')}_{end}" for end in ("min", "max"))
-            if isinstance(f.default, tuple) and (lo in pending or hi in pending):
-                kind = type(f.default[0])
-                kwargs[f.name] = (kind(pending.pop(lo)), kind(pending.pop(hi)))
-        kwargs.update(fields_from_strings(ScenarioConfig, pending))
+        kwargs = fields_from_strings(ScenarioConfig, mapping)
         return ScenarioConfig(**kwargs)  # type: ignore[arg-type]
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ScenarioFormatError):
             raise
         raise ScenarioFormatError(f"bad scenario config: {exc}") from exc

@@ -176,8 +176,6 @@ def _changed(default):
     """A valid non-default value of the same type as a config field default."""
     if isinstance(default, bool):
         return not default
-    if isinstance(default, tuple):
-        return (default[0], default[1] * 2)
     if isinstance(default, int):
         return default + 1
     if isinstance(default, float):
@@ -187,7 +185,7 @@ def _changed(default):
 
 def _changed_fields(cls):
     return {f.name: _changed(f.default) for f in fields(cls)
-            if f.init and isinstance(f.default, (bool, int, float, str, tuple))}
+            if f.init and isinstance(f.default, (bool, int, float, str))}
 
 
 def test_every_config_field_reads_back_from_config_text(tmp_path):
@@ -284,6 +282,51 @@ def test_scenario_scales_that_overflow_exit_3(tmp_path, capsys, key, lines):
     assert captured.err.startswith("config error: ") and key in captured.err
 
 
+def test_scenario_section_with_one_bound_takes_the_other_from_its_default(tmp_path,
+                                                                         capsys):
+    path = write(tmp_path, "one.ini", "[scenario]\nkb_size_min = 2\n")
+    cfg = _scenario_config(_read_ini(path), path)
+    assert (cfg.kb_size_min, cfg.kb_size_max) == (2, 5)
+    bad = write(tmp_path, "bad.ini", "[scenario]\nkb_size_min = 2.5\n")
+    assert main(["gen", "--config", bad]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ") and "kb_size_min" in captured.err
+
+
+def test_negative_rng_seed_is_a_config_error(tmp_path, capsys):
+    path = write(tmp_path, "cfg.ini", SCENARIO_4.replace("rng_seed = 5", "rng_seed = -1"))
+    assert main(["gen", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ") and "rng_seed" in captured.err
+
+
+def test_solve_seed_with_a_scenario_file_exits_3_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    cfg_path = write(tmp_path, "cfg.ini", SCENARIO_4 + FAST_SOLVER)
+    scn_path = str(tmp_path / "scn.txt")
+    assert main(["gen", "--config", cfg_path, "--out", scn_path]) == 0
+    # baseline --seed seeds the baseline's RNG, with a scenario file too
+    assert main(["baseline", "--scenario", scn_path, "--kind", "rpd", "--seed", "3",
+                 "--out", str(tmp_path / "base.json")]) == 0
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the scenario was read before --seed was checked")
+
+    monkeypatch.setattr(expcli, "load_scenario", no_load)
+    for argv in (["solve", "--scenario", scn_path, "--seed", "3"],
+                 ["solve", "--scenario", scn_path, "--config", cfg_path, "--seed", "3"]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "--seed" in captured.err
+
+
 def test_unknown_matching_mode_exits_3_before_any_pair_is_solved(tmp_path, capsys,
                                                                   monkeypatch):
     def no_solve(*args, **kwargs):
@@ -333,6 +376,27 @@ def test_readme_ini_examples_load(tmp_path):
     # the acceptance suite's fast knobs
     assert spec.solver == SolverParams(dual_iters=2, pair=PairOptParams(
         sigma=1, max_iters=4, power_grid_points=32, power_refine=False))
+    # the scenario example lists every ScenarioConfig key
+    scenario_keys = set(_read_ini(path).options("scenario"))
+    assert scenario_keys == {f.name for f in fields(ScenarioConfig) if f.init}
+    # and the solver paragraph names every key the [solver] reader accepts
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    listed = set(re.findall(r"`(\w+)`", re.search(
+        r"### Solver knobs.*?\n\n(.*?)Any other key is rejected", readme, flags=re.S)[1]))
+    candidates = listed | {f.name for cls in (SolverParams, PairOptParams)
+                           for f in fields(cls)}
+    accepted = {key for key in candidates if _accepts_solver_key(tmp_path, key)}
+    assert len(accepted) == 10 and accepted <= listed
+
+
+def _accepts_solver_key(tmp_path, key):
+    """Whether ``[solver]`` knows ``key`` (its value may still be invalid)."""
+    path = write(tmp_path, "probe.ini", f"[solver]\n{key} = 1\n")
+    try:
+        _solver_params(_read_ini(path))
+    except ConfigError as exc:
+        return not str(exc).startswith("unknown solver key")
+    return True
 
 
 SWEEP_CELL = ("[sweep]\naxis = num_users\naxis_values = 4\n"
@@ -486,7 +550,7 @@ def test_run_sweep_records_errors_instead_of_aborting():
     spec = _tiny_spec(variant="eta_min", variant_values=(0.5, 1.0),
                       base=ScenarioConfig(num_users=4, num_kbs=3,
                                           cell_radius_m=40.0, capacity=2,
-                                          kb_size_range=(1, 1)))
+                                          kb_size_min=1, kb_size_max=1))
     rows = run_sweep(spec)
     by_cell = {(r.scheme, r.variant_value): r for r in rows}
     ok = by_cell[("proposed", 0.5)]

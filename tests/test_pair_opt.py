@@ -674,6 +674,17 @@ def test_solution_score_matches_scalar_recomputation():
     assert_close(sol.score, manual, rel=1e-12)
 
 
+def test_sigma_beyond_the_joint_length_flips_the_same_sets():
+    # K = 3 gives a 6-entry joint cache and no flip set is larger, so any
+    # sigma past 6 searches the same neighborhood
+    scn = _small_generated(seed=4)
+    tau = np.ones(2)
+    rho = np.ones(2)
+    whole = solve_pair_subproblem(scn, 0, 1, tau, rho, PairOptParams(sigma=6))
+    huge = solve_pair_subproblem(scn, 0, 1, tau, rho, PairOptParams(sigma=10**12))
+    assert huge == whole
+
+
 def test_warm_start_seed_validation_and_quality():
     scn = _small_generated(seed=9)
     tau = np.ones(2)

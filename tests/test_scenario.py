@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,12 +122,12 @@ def test_generated_geometry(generated):
 def test_generated_catalog(generated):
     cfg, scn = generated
     k = cfg.num_kbs
-    lo, hi = cfg.kb_size_range
+    lo, hi = cfg.kb_size_min, cfg.kb_size_max
     assert np.all((scn.catalog.sizes >= lo) & (scn.catalog.sizes <= hi))
     for row in scn.catalog.user_ranks:
         assert sorted(row.tolist()) == list(range(1, k + 1))
     assert sorted(scn.catalog.eaves_ranks.tolist()) == list(range(1, k + 1))
-    tlo, thi = cfg.interp_time_range
+    tlo, thi = cfg.interp_time_min, cfg.interp_time_max
     assert np.all(scn.catalog.interp_rates >= 1.0 / thi - 1e-9)
     assert np.all(scn.catalog.interp_rates <= 1.0 / tlo + 1e-9)
     assert np.allclose(scn.catalog.user_probs.sum(axis=1), 1.0, atol=1e-12)
@@ -212,7 +213,7 @@ def test_config_from_mapping_rejects_unknown_key():
 
 def test_config_from_mapping_round_trip():
     cfg = ScenarioConfig(num_users=5, num_kbs=4, p_max_dbm=18.0,
-                         kb_size_range=(2, 3), per_user_interp=True)
+                         kb_size_min=2, kb_size_max=3, per_user_interp=True)
     text = scenario_to_text(generate_scenario(
         ScenarioConfig(num_users=2, cell_radius_m=10.0, rng_seed=1)))
     assert "# sscn scenario v1" in text
@@ -222,7 +223,7 @@ def test_config_from_mapping_round_trip():
     }
     rebuilt = config_from_mapping(mapping)
     assert rebuilt.num_users == cfg.num_users
-    assert rebuilt.kb_size_range == cfg.kb_size_range
+    assert (rebuilt.kb_size_min, rebuilt.kb_size_max) == (cfg.kb_size_min, cfg.kb_size_max)
     assert rebuilt.per_user_interp is True
     assert_close(rebuilt.p_max_w, cfg.p_max_w, rel=1e-15)
 
@@ -233,7 +234,7 @@ def test_fields_from_strings_types_by_field_default():
     assert kwargs == {"num_users": 7, "eta_min": 1.0, "per_user_interp": True}
     assert type(kwargs["eta_min"]) is float
     for bad in ({"num_users": "7.0"}, {"per_user_interp": "yes"}, {"eta_min": "half"},
-                {"kb_size_range": "1 5"}, {"noise_w": "1.0"}, {"bogus": "1"}):
+                {"kb_size_min": "1 5"}, {"noise_w": "1.0"}, {"bogus": "1"}):
         with pytest.raises(ScenarioFormatError):
             fields_from_strings(ScenarioConfig, bad)
     # a renamed field is set through its config name only
@@ -247,16 +248,37 @@ def test_fields_from_strings_types_by_field_default():
     dict(num_users=1),
     dict(num_users=2, num_kbs=0),
     dict(num_users=2, eta_min=1.5),
-    dict(num_users=2, kb_size_range=(0, 3)),
+    dict(num_users=2, kb_size_min=0),
     dict(num_users=2, capacity=0),
-    dict(num_users=2, interp_time_range=(0.0, 1.0)),
+    dict(num_users=2, interp_time_min=0.0),
     dict(num_users=2, delay_max_s=0.0),
     dict(num_users=4.5),
-    dict(num_users=2, kb_size_range=(1, 2.5)),
+    dict(num_users=2, kb_size_max=2.5),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(kb_size_min=6), "need 0 < kb_size_min <= kb_size_max"),
+    (dict(kb_size_max=0), "need 0 < kb_size_min <= kb_size_max"),
+    (dict(interp_time_min=0.02), "need 0 < interp_time_min <= interp_time_max"),
+    (dict(interp_time_max=-1.0), "need 0 < interp_time_min <= interp_time_max"),
+    (dict(kb_size_min=1.5), "kb_size_min must be an integer"),
+    (dict(rng_seed=-1), "rng_seed must be nonnegative"),
+])
+def test_config_validation_names_the_key(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScenarioConfig(**kwargs)
+
+
+def test_config_from_mapping_takes_a_missing_bound_from_its_default():
+    cfg = config_from_mapping({"kb_size_min": "2", "interp_time_max": "0.02"})
+    assert (cfg.kb_size_min, cfg.kb_size_max) == (2, 5)
+    assert (cfg.interp_time_min, cfg.interp_time_max) == (5.0e-3, 0.02)
+    with pytest.raises(ScenarioFormatError, match="need 0 < kb_size_min <= kb_size_max"):
+        config_from_mapping({"kb_size_min": "6"})
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
