@@ -20,7 +20,7 @@ import numpy as np
 from .matching import (MODES, Pairing, build_omega, check_mode, matching_weight,
                        solve_dup)
 from .metrics import CacheVector, cache_fits, meets_eta, pair_value_rates, satisfaction
-from .pair_opt import (InfeasiblePairError, PairOptParams, PairSolution,
+from .pair_opt import (InfeasiblePairError, PairOptParams, PairSolution, UserTables,
                        greedy_single_cache, solve_pair_subproblem)
 from .queueing import UnstableQueueError, pk_delay, queue_stats
 from .scenario import Scenario, check_finite
@@ -351,6 +351,7 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
     trace: list[IterationRecord] = []
     best: SolveResult | None = None
     warm: dict[tuple[int, int], np.ndarray] = {}
+    tables = UserTables(scn)  # filled by the exact pair searches only
 
     for t in range(1, params.dual_iters + 1):
         failures: dict[tuple[int, int], str] = {}
@@ -358,7 +359,8 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
         for i, j in pairs:
             try:
                 solutions[(i, j)] = solve_pair_subproblem(
-                    scn, i, j, state.tau, state.rho, params.pair, initial=warm.get((i, j)))
+                    scn, i, j, state.tau, state.rho, params.pair, initial=warm.get((i, j)),
+                    tables=tables)
             except InfeasiblePairError as exc:
                 failures[(i, j)] = str(exc)
         if params.warm_start:

@@ -141,7 +141,6 @@ class _PairContext:
         self.noise = cfg.noise_w
         self.bits_per_packet = cfg.packet_bits
         self.p_max = cfg.p_max_w
-        self.unit_grid = np.linspace(0.0, 1.0, params.power_grid_points)
         self.weights, self.scalars = zip(self._direction(i, j, tau, rho),
                                          self._direction(j, i, tau, rho))
 
@@ -216,7 +215,7 @@ class _PairContext:
         """Best grid power of each column of search inputs, as (best score,
         best power) arrays."""
         upper = self._power_bound(cols)
-        grid = upper[:, None] * self.unit_grid[None, :]
+        grid = upper[:, None] * _unit_grid(self.params.power_grid_points)[None, :]
         scores = self._score_at(cols[:, :, None], grid)
         idx = np.argmax(scores, axis=1)
         at = np.arange(scores.shape[0])
@@ -285,15 +284,18 @@ class _PairContext:
         pick = np.argmax(scores, axis=0)
         return scores[pick, every], powers[pick, every]
 
+    def _joint_coeffs(self, cands: np.ndarray):
+        """Both directions' search inputs for (n, 2K) joint caches."""
+        cands = np.asarray(cands, dtype=float)
+        ci, cj = cands[:, :self.k], cands[:, self.k:]
+        matched = ci * cj
+        return self._coeffs(ci, matched, 0), self._coeffs(cj, matched, 1)
+
     def evaluate(self, cands: np.ndarray):
         """Scores and per-direction optimized powers for (n, 2K) candidates.
         Each candidate's search inputs, hence its result, depend on its caches
         alone, whatever batch it comes in."""
-        cands = np.asarray(cands, dtype=float)
-        k = self.k
-        ci, cj = cands[:, :k], cands[:, k:]
-        matched = ci * cj
-        out = self.search((self._coeffs(ci, matched, 0), self._coeffs(cj, matched, 1)))
+        out = self.search(self._joint_coeffs(cands))
         return out[0][:, 0] + out[1][:, 0], out[0][:, 1], out[1][:, 1]
 
     def search(self, coeffs):
@@ -310,18 +312,17 @@ class _PairContext:
                                  else self._grid_search)(cols))
         return np.split(found, [len(coeffs[0])])
 
-    def direction_detail(self, cands_row: np.ndarray, which: int, power: float):
-        """Scalar (v_s, delay, stable) of one direction at a given power."""
-        ci, cj = cands_row[None, :self.k].astype(float), cands_row[None, self.k:].astype(float)
-        cols = self._coeffs((ci, cj)[which], ci * cj, which).T
-        _, v_s, delay, stable = self._compose(cols, *self._rates_at(cols, power))
-        return float(v_s[0]), float(delay[0]), bool(stable[0])
-
-    def finalize(self, joint: np.ndarray, power_i: float, power_j: float) -> PairSolution:
-        vs_ij, delay_ij, ok_ij = self.direction_detail(joint, 0, power_i)
-        vs_ji, delay_ji, ok_ji = self.direction_detail(joint, 1, power_j)
-        if not (ok_ij and ok_ji):
+    def finalize(self, joint: np.ndarray, power_i: float, power_j: float,
+                 coeffs=None) -> PairSolution:
+        """The pair's solution at ``joint`` and the given powers, both
+        directions scored in one pass.  ``coeffs`` are the two directions'
+        search-input rows of ``joint`` when the caller already holds them."""
+        cols = np.vstack(self._joint_coeffs(joint[None, :]) if coeffs is None else coeffs).T
+        _, v_s, delay, stable = self._compose(
+            cols, *self._rates_at(cols, np.array([power_i, power_j])))
+        if not stable.all():
             raise RuntimeError("optimized powers landed in the unstable region")
+        (vs_ij, vs_ji), (delay_ij, delay_ji) = v_s.tolist(), delay.tolist()
         (_, _, tau_i, rho_i), (_, _, tau_j, rho_j) = self.scalars
         score = ((1.0 + rho_i) * vs_ij - tau_i * delay_ij
                  + (1.0 + rho_j) * vs_ji - tau_j * delay_ji)
@@ -482,6 +483,15 @@ def _flip_masks(length: int, sigma: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def _unit_grid(points: int) -> np.ndarray:
+    """Read-only ``points`` power levels evenly spread over [0, 1], scaled by
+    each row's stable power bound in the grid search."""
+    grid = np.linspace(0.0, 1.0, points)
+    grid.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=8)
 def _cache_table(width: int) -> np.ndarray:
     """Read-only table of all 2^width 0/1 rows, in the row order of
     ``itertools.product((0, 1), repeat=width)`` (first column most
@@ -565,6 +575,25 @@ def _superset_min(leak: np.ndarray, feasible: np.ndarray) -> tuple[np.ndarray, n
     return np.append(order, n)[best[0]], best[1]
 
 
+class UserTables:
+    """One scenario's per-user tables of the exact search, built on each
+    user's first search: its feasible-cache mask over the 2^K caches and
+    ``_superset_min`` of its leak column.  Neither depends on the prices or
+    the partner, so ``run_solver`` keeps one object per solve."""
+
+    def __init__(self, scn: Scenario) -> None:
+        self.scn = scn
+        self._users: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def get(self, user: int, leak: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``user``'s (feasible, arg, low); ``leak`` is read only to build them."""
+        if user not in self._users:
+            bits = _cache_table(self.scn.config.num_kbs).astype(float)
+            feasible = _cache_feasible(bits, self.scn, user)
+            self._users[user] = (feasible, *_superset_min(leak, feasible))
+        return self._users[user]
+
+
 def _with_leak(rows: np.ndarray, sets, caches) -> np.ndarray:
     """One direction's search inputs for matched sets ``sets`` sent from
     caches ``caches``; ``rows[c]`` holds its inputs for matched set c sent
@@ -600,7 +629,7 @@ def _best_completion(ctx: _PairContext, rows, feasible, s: int, floor: float):
     return best
 
 
-def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
+def _matched_set_optimum(ctx: _PairContext, tables: UserTables) -> PairSolution:
     """Optimum over every feasible joint cache, by branch and bound over
     matched sets S = c_i & c_j (Land & Doig 1960).
 
@@ -623,23 +652,28 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
     lowest (c_i, c_j) code, the product-order first maximum of
     ``_enumerate_table``.
     """
-    scn, k = ctx.scn, ctx.k
-    table = _cache_table(k)
+    table = _cache_table(ctx.k)
     bits = table.astype(float)
     n = bits.shape[0]
-    feasible = [_cache_feasible(bits, scn, user) for user in (ctx.i, ctx.j)]
-    if not (feasible[0].any() and feasible[1].any()):
-        raise _no_joint_cache(scn, ctx.i, ctx.j)
     # rows[w][c]: direction w's search inputs with matched set c sent from cache c
     rows = [ctx._coeffs(bits, bits, w) for w in (0, 1)]
-    (arg_i, low_i), (arg_j, low_j) = (_superset_min(rows[w][:, 4], feasible[w]) for w in (0, 1))
+    (feas_i, arg_i, low_i), (feas_j, arg_j, low_j) = (
+        tables.get(user, rows[w][:, 4]) for w, user in enumerate((ctx.i, ctx.j)))
+    if not (feas_i.any() and feas_j.any()):
+        raise _no_joint_cache(ctx.scn, ctx.i, ctx.j)
+
+    def finish(code_i, code_j, power_i, power_j):  # reads the rows the search read
+        s = [code_i & code_j]
+        return ctx.finalize(table[[code_i, code_j]].ravel(), power_i, power_j,
+                            [_with_leak(rows[w], s, [c]) for w, c in enumerate((code_i, code_j))])
+
     sets = np.flatnonzero((arg_i < n) & (arg_j < n))
     a_i, a_j = arg_i[sets], arg_j[sets]
     f_ij, f_ji = ctx.search((_with_leak(rows[0], sets, a_i), _with_leak(rows[1], sets, a_j)))
     bound = f_ij[:, 0] + f_ji[:, 0]
     if bound.max() == 0.0:
         # every joint cache scores 0 at power 0: the lowest feasible code wins
-        return ctx.finalize(table[[low_i[0], low_j[0]]].ravel(), 0.0, 0.0)
+        return finish(low_i[0], low_j[0], 0.0, 0.0)
     meets = (a_i & a_j) == sets
     lowest = meets & (low_i[sets] == a_i) & (low_j[sets] == a_j)
     floor = float(bound[meets].max()) if meets.any() else -math.inf
@@ -651,30 +685,35 @@ def _matched_set_optimum(ctx: _PairContext) -> PairSolution:
             found = (float(bound[node]), int(a_i[node]), int(a_j[node]),
                      float(f_ij[node, 1]), float(f_ji[node, 1]))
         else:
-            found = _best_completion(ctx, rows, feasible, int(sets[node]),
+            found = _best_completion(ctx, rows, (feas_i, feas_j), int(sets[node]),
                                      float(bound[node]) if meets[node] else floor)
         if found is not None and (best is None
                                   or (-found[0], found[1:3]) < (-best[0], best[1:3])):
             best = found
             floor = max(floor, found[0])
-    return ctx.finalize(table[list(best[1:3])].ravel(), best[3], best[4])
+    return finish(*best[1:])
 
 
 def enumerate_pair_optimum(
     scn: Scenario, i: int, j: int,
     tau: np.ndarray, rho: np.ndarray,
     params: PairOptParams | None = None,
+    tables: UserTables | None = None,
 ) -> PairSolution:
     """Exact joint-cache optimum (the tabu search's oracle): the maximum over
     every feasible joint cache, ties to the product-order first.  This is the
     matched-set branch and bound, for catalogs of up to MATCHED_SET_MAX_KBS
-    KBs, with or without power refinement.
+    KBs, with or without power refinement.  Without ``tables`` (per-user
+    tables shared by one scenario's searches) the search builds its own.
     """
     params = params or PairOptParams()
     if scn.config.num_kbs > MATCHED_SET_MAX_KBS:
         raise ValueError(
             f"exhaustive search is limited to num_kbs <= {MATCHED_SET_MAX_KBS}")
-    return _matched_set_optimum(_PairContext(scn, i, j, tau, rho, params))
+    if tables is not None and tables.scn is not scn:
+        raise ValueError("user tables belong to another scenario")
+    return _matched_set_optimum(_PairContext(scn, i, j, tau, rho, params),
+                                tables or UserTables(scn))
 
 
 def solve_pair_subproblem(
@@ -683,6 +722,7 @@ def solve_pair_subproblem(
     params: PairOptParams | None = None,
     return_state: bool = False,
     initial: np.ndarray | None = None,
+    tables: UserTables | None = None,
 ):
     """Tabu search over joint caches with per-candidate optimized powers.
 
@@ -691,11 +731,12 @@ def solve_pair_subproblem(
     neighbor each iteration (accepting downhill moves), records non-improving
     visits in the tabu memory, and stops on the iteration budget, an empty
     neighborhood, or stagnation of the incumbent.  With ``params.exhaustive``
-    the tabu search is replaced by the exact ``enumerate_pair_optimum``.
+    the tabu search is replaced by the exact ``enumerate_pair_optimum``,
+    which keeps its per-user tables in ``tables`` when given.
     """
     params = params or PairOptParams()
     if params.exhaustive:
-        sol = enumerate_pair_optimum(scn, i, j, tau, rho, params)
+        sol = enumerate_pair_optimum(scn, i, j, tau, rho, params, tables)
         return (sol, TabuState(TABU_LEN)) if return_state else sol
     if initial is None:
         cache_i, cache_j = initial_kbc(scn, i, j)  # may raise InfeasiblePairError
@@ -711,17 +752,25 @@ def solve_pair_subproblem(
             raise ValueError(f"warm-start joint cache is infeasible for pair ({i}, {j})")
     ctx = _PairContext(scn, i, j, tau, rho, params)
     state = TabuState(TABU_LEN)
-    scores, p_i, p_j = ctx.evaluate(joint[None, :])
-    best = (joint.copy(), float(p_i[0]), float(p_j[0]))
+    current = joint
+    cands = (neighborhood(current, params.sigma, state, scn, i, j) if params.max_iters
+             else joint[None][:0])
+    # the start is scored in one batch with its first neighborhood; a row's
+    # result does not depend on its batch
+    scores, cand_pi, cand_pj = ctx.evaluate(np.vstack((joint, cands)))
+    best = (joint.copy(), float(cand_pi[0]), float(cand_pj[0]))
     state.best_score = float(scores[0])
     state.best_history.append(state.best_score)
-    current = joint
+    scores, cand_pi, cand_pj = scores[1:], cand_pi[1:], cand_pj[1:]
 
-    for _ in range(params.max_iters):
-        cands = neighborhood(current, params.sigma, state, scn, i, j)
-        if cands.shape[0] == 0:
+    for step in range(params.max_iters):
+        if step:
+            cands = neighborhood(current, params.sigma, state, scn, i, j)
+            if cands.shape[0] == 0:
+                break
+            scores, cand_pi, cand_pj = ctx.evaluate(cands)
+        elif cands.shape[0] == 0:
             break
-        scores, cand_pi, cand_pj = ctx.evaluate(cands)
         pick = int(np.argmax(scores))  # first max wins: deterministic
         current = cands[pick].copy()
         if scores[pick] > state.best_score:

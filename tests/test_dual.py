@@ -1,6 +1,7 @@
 """Dual decomposition loop: price updates, relaxed objective, full solve."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from sscn.dual import (DualState, SolveResult, SolverParams, audit_assignment,
                        run_solver, update_duals)
 from sscn.matching import UNPAIRED, Pairing
 from sscn.metrics import CacheVector, network_sst, satisfaction
-from sscn.pair_opt import InfeasiblePairError, PairOptParams, solve_pair_subproblem
+from sscn.pair_opt import (InfeasiblePairError, PairOptParams, UserTables, _superset_min,
+                           solve_pair_subproblem)
 from sscn.queueing import UnstableQueueError
 from sscn.scenario import ScenarioConfig, generate_scenario
 
@@ -348,6 +350,40 @@ def test_solver_fingerprint_certified_oracle_path():
     assert len(res.trace) == len(want["dual_values"])
     for rec, d in zip(res.trace, want["dual_values"]):
         assert_close(rec.dual_value, d, rel=1e-12)
+
+
+def test_exact_solve_builds_each_users_tables_once(monkeypatch):
+    # a user's feasible caches and superset-min table depend on neither the
+    # prices nor the partner, so one solve builds them once per user, and its
+    # answer is the one where every pair search builds its own.  Users 1 and
+    # 4 have no feasible cache: 9 of the 15 pairs fail, with the same text.
+    scn = generate_scenario(ScenarioConfig(num_users=6, num_kbs=5, cell_radius_m=100.0,
+                                           eta_min=0.7, capacity=8, rng_seed=3))
+    params = SolverParams(dual_iters=3, matching_mode="exact", pair=PairOptParams(
+        exhaustive=True, power_grid_points=32, power_refine=False))
+    built = []
+
+    def counted(leak, feasible):
+        built.append(len(leak))
+        return _superset_min(leak, feasible)
+
+    monkeypatch.setattr("sscn.pair_opt._superset_min", counted)
+    shared = run_solver(scn, params)
+    assert 0 < len(built) <= scn.num_users
+    built.clear()
+
+    def own_tables(*args, tables=None, **kwargs):
+        return solve_pair_subproblem(*args, **kwargs)
+
+    monkeypatch.setattr("sscn.dual.solve_pair_subproblem", own_tables)
+    alone = run_solver(scn, params)
+    assert len(built) == 2 * len(scn.eligible_pairs()) * params.dual_iters
+    assert len(shared.feasibility.pair_failures) == 9
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        assert repr(shared) == repr(alone)
+    with pytest.raises(ValueError, match="another scenario"):
+        solve_pair_subproblem(scn, 0, 2, np.ones(6), np.ones(6), params.pair,
+                              tables=UserTables(make_hand_pair()))
 
 
 def test_solver_warm_start_stays_deterministic():

@@ -685,6 +685,29 @@ def test_sigma_beyond_the_joint_length_flips_the_same_sets():
     assert huge == whole
 
 
+def test_tabu_start_without_a_move_scores_as_optimize_powers():
+    # the start is scored in one batch with its first neighborhood.  With no
+    # iterations, or a first neighborhood that is empty (the hand pair must
+    # cache its one KB at both users, so every flip is infeasible), the
+    # search returns the start at optimize_powers' powers and score.
+    scn = _small_generated(seed=5, num_kbs=4)
+    tau, rho = np.array([2.0, 0.5]), np.array([0.5, 1.0])
+    start = initial_kbc(scn, 0, 1)
+    warm = neighborhood(np.concatenate([c.bits for c in start]), 1, TabuState(8), scn, 0, 1)[0]
+    warm_start = (CacheVector(0, warm[:4]), CacheVector(1, warm[4:]))
+    cases = [(scn, PairOptParams(max_iters=0), None, start),
+             (scn, PairOptParams(max_iters=0), warm, warm_start),
+             (make_hand_pair(), PairOptParams(), None, FULL1)]
+    for case, params, initial, (cache_i, cache_j) in cases:
+        sol, state = solve_pair_subproblem(case, 0, 1, tau, rho, params, return_state=True,
+                                           initial=initial)
+        p_i, p_j, score = optimize_powers(case, 0, 1, cache_i, cache_j, tau, rho, params)
+        assert (sol.cache_i, sol.cache_j) == (cache_i, cache_j)
+        assert (sol.power_i, sol.power_j) == (p_i, p_j)
+        assert state.best_history == [score]
+        assert_close(sol.score, score, rel=1e-12)
+
+
 def test_warm_start_seed_validation_and_quality():
     scn = _small_generated(seed=9)
     tau = np.ones(2)
