@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dual import SolveResult, evaluated, measure_pair, solo_cache
+from .dual import SolveResult, evaluated, solo_cache
 from .matching import Pairing, greedy_walk
 from .metrics import CacheVector
 from .scenario import Scenario
@@ -75,6 +75,4 @@ def run_baseline(scn: Scenario, kind: str, seed: int) -> SolveResult:
                        key=lambda ij: (-int(caches[ij[0]].bits @ caches[ij[1]].bits),
                                        scn.distance(ij[0], ij[1]), ij[0], ij[1]))
     pairing = Pairing.from_pairs(scn.num_users, greedy_walk(scn.num_users, cells))
-    reports = {(i, j): measure_pair(scn, i, j, caches, powers)
-               for i, j in pairing.matched_pairs()}
-    return evaluated(scn, caches, pairing, powers, reports, shortfalls)
+    return evaluated(scn, caches, pairing, powers, shortfalls)

@@ -127,7 +127,9 @@ class PairReport:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One dual iteration: prices were updated from these measurements."""
+    """One dual iteration: ``sst`` and the violations are what ``evaluated``
+    measured, and the prices were then updated from those measurements;
+    ``dual_value`` is the matched pair-search scores plus the price terms."""
 
     t: int
     dual_value: float
@@ -192,12 +194,6 @@ class SolveResult:
     trace: tuple[IterationRecord, ...] = ()
     best_feasible: SolveResult | None = None
     dual_final: DualState | None = None
-
-
-def _pair_report_from_solution(sol: PairSolution) -> PairReport:
-    return PairReport(i=sol.i, j=sol.j,
-                      secrecy_ij=sol.secrecy_ij, secrecy_ji=sol.secrecy_ji,
-                      delay_ij=sol.delay_ij, delay_ji=sol.delay_ji)
 
 
 def measure_pair(scn: Scenario, i: int, j: int, caches, powers) -> PairReport:
@@ -285,9 +281,12 @@ def audit_assignment(
 
 
 def evaluated(scn: Scenario, caches, pairing: Pairing, powers: np.ndarray,
-              pair_reports: dict[tuple[int, int], PairReport], eta_shortfalls: dict[int, float],
+              eta_shortfalls: dict[int, float],
               pair_failures: dict[tuple[int, int], str] | None = None) -> SolveResult:
-    """Audit, SST and per-user satisfaction of one assignment."""
+    """Reports (``measure_pair`` of every matched pair, for solver iterates
+    and baselines alike), audit, SST and per-user satisfaction."""
+    pair_reports = {(i, j): measure_pair(scn, i, j, caches, powers)
+                    for i, j in pairing.matched_pairs()}
     feasibility = audit_assignment(scn, caches, pairing, powers, pair_reports,
                                    eta_shortfalls=eta_shortfalls, pair_failures=pair_failures)
     eta = np.array([satisfaction(caches[i], scn.catalog.user_probs[i])
@@ -311,24 +310,20 @@ def solo_cache(scn: Scenario, i: int) -> tuple[CacheVector, float]:
 
 
 def _assemble(scn: Scenario, solutions: dict[tuple[int, int], PairSolution],
-              pairing: Pairing) -> tuple[list[CacheVector], np.ndarray,
-                                         dict[tuple[int, int], PairReport],
-                                         dict[int, float]]:
+              pairing: Pairing) -> tuple[list[CacheVector], np.ndarray, dict[int, float]]:
     """Primal tuple from matched pair solutions plus solo fallbacks."""
     caches: list[CacheVector | None] = [None] * scn.num_users
     powers = np.zeros(scn.num_users)
-    reports: dict[tuple[int, int], PairReport] = {}
     shortfalls: dict[int, float] = {}
     for i, j in pairing.matched_pairs():
         sol = solutions[(i, j)]
         caches[i], caches[j] = sol.cache_i, sol.cache_j
         powers[i], powers[j] = sol.power_i, sol.power_j
-        reports[(i, j)] = _pair_report_from_solution(sol)
     for i in pairing.unpaired():
         caches[i], shortfall = solo_cache(scn, i)
         if shortfall > 0.0:
             shortfalls[i] = shortfall
-    return caches, powers, reports, shortfalls  # type: ignore[return-value]
+    return caches, powers, shortfalls  # type: ignore[return-value]
 
 
 def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult:
@@ -371,8 +366,8 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
                 "every eligible pair is infeasible; see per-pair diagnostics")
         omega = build_omega(solutions, m)
         pairing = solve_dup(omega, params.matching_mode)
-        caches, powers, reports, shortfalls = _assemble(scn, solutions, pairing)
-        last = evaluated(scn, caches, pairing, powers, reports, shortfalls, failures)
+        caches, powers, shortfalls = _assemble(scn, solutions, pairing)
+        last = evaluated(scn, caches, pairing, powers, shortfalls, failures)
         feas = last.feasibility
         trace.append(IterationRecord(
             t=t, dual_value=_priced(matching_weight(omega, pairing), scn, state.tau, state.rho),
@@ -382,5 +377,6 @@ def run_solver(scn: Scenario, params: SolverParams | None = None) -> SolveResult
             pairs_matched=len(pairing.matched_pairs())))
         if feas.feasible and (best is None or last.sst > best.sst):
             best = last.best_feasible
-        state = update_duals(state, *_per_user_sums(m, reports), cfg.delay_max_s, cfg.sst_min)
+        state = update_duals(state, *_per_user_sums(m, last.pair_reports),
+                             cfg.delay_max_s, cfg.sst_min)
     return replace(last, trace=tuple(trace), best_feasible=best, dual_final=state)

@@ -154,13 +154,16 @@ def _exact_matching(omega: OmegaMatrix) -> list[tuple[int, int]]:
 
     pairs = []
     free = (1 << m) - 1
-    while free:
-        u = (free & -free).bit_length() - 1
-        v = best(free)[1]
-        free ^= 1 << u
-        if v != UNPAIRED:
-            pairs.append((u, v))
-            free ^= 1 << v
+    try:
+        while free:
+            u = (free & -free).bit_length() - 1
+            v = best(free)[1]
+            free ^= 1 << u
+            if v != UNPAIRED:
+                pairs.append((u, v))
+                free ^= 1 << v
+    finally:  # ``best`` and its memo form a cycle: free it now, not at the next GC
+        best.cache_clear()
     return pairs
 
 

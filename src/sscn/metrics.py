@@ -141,9 +141,9 @@ def network_sst(scn, caches, pairing, powers) -> float:
 
     This is the nominal value-rate sum, meaningful when every matched queue
     is stable (always true for solver output, whose power search excludes the
-    unstable region).  Assignments that may overload queues should be scored
-    through ``dual.measure_pair``, which zeroes the delivered value of
-    unstable directions.
+    unstable region); it is a test reference.  Reported SST, of solver and
+    baselines alike, sums ``dual.measure_pair`` reports, which zero the
+    delivered value of unstable directions.
     """
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (scn.num_users,):

@@ -75,7 +75,8 @@ class PairOptParams:
 
 @dataclass(frozen=True)
 class PairSolution:
-    """Best joint cache/power assignment found for one unordered pair i < j."""
+    """Best joint cache/power assignment found for one unordered pair i < j
+    and its priced score; ``dual.measure_pair`` measures its metrics."""
 
     i: int
     j: int
@@ -84,10 +85,6 @@ class PairSolution:
     power_i: float
     power_j: float
     score: float
-    secrecy_ij: float
-    secrecy_ji: float
-    delay_ij: float
-    delay_ji: float
 
 
 class TabuState:
@@ -332,8 +329,6 @@ class _PairContext:
             cache_j=CacheVector(self.j, joint[self.k:]),
             power_i=float(power_i), power_j=float(power_j),
             score=float(score),
-            secrecy_ij=vs_ij, secrecy_ji=vs_ji,
-            delay_ij=delay_ij, delay_ji=delay_ji,
         )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import HAND, assert_close, make_hand_pair, make_scenario
+from sscn.baselines import run_baseline
 from sscn.dual import (DualState, SolveResult, SolverParams, audit_assignment,
                        delivered_sst, lagrangian_value, measure_pair,
                        run_solver, update_duals)
@@ -231,7 +232,8 @@ def test_solver_single_iteration_matches_subproblem(hand_pair):
     assert res.pairing.matched_pairs() == [(0, 1)]
     assert res.caches[0] == sol.cache_i and res.caches[1] == sol.cache_j
     assert np.allclose(res.powers, [sol.power_i, sol.power_j], rtol=1e-15)
-    assert_close(res.sst, sol.secrecy_ij + sol.secrecy_ji, rel=1e-12)
+    # with zero prices the pair score is the SST, v_ij + v_ji
+    assert_close(res.sst, sol.score, rel=1e-12)
     assert len(res.trace) == 1
     assert res.trace[0].pairs_matched == 1
     # with zero prices the dual value is exactly the matched score sum
@@ -440,3 +442,21 @@ def test_solver_raises_when_every_pair_is_infeasible():
 def test_solver_params_validation(kwargs):
     with pytest.raises(ValueError):
         SolverParams(**kwargs)
+
+
+BENCH_PAIR = PairOptParams(sigma=1, max_iters=4, power_grid_points=32, power_refine=False)
+
+
+@pytest.mark.parametrize("num_users,num_kbs,params", [
+    (8, 6, SolverParams(dual_iters=2)),
+    (20, 8, SolverParams(dual_iters=2, pair=BENCH_PAIR)),
+])
+def test_every_reported_pair_is_measured(num_users, num_kbs, params):
+    # solver and baselines report through the same scalar measurement, so
+    # each report is measure_pair of the final caches and powers, bit for bit
+    scn = generate_scenario(ScenarioConfig(num_users=num_users, num_kbs=num_kbs, rng_seed=1))
+    for res in (run_solver(scn, params), run_baseline(scn, "rpd", seed=1)):
+        assert res.pair_reports
+        assert list(res.pair_reports) == res.pairing.matched_pairs()
+        for i, j in res.pairing.matched_pairs():
+            assert res.pair_reports[(i, j)] == measure_pair(scn, i, j, res.caches, res.powers)

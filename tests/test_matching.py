@@ -1,6 +1,8 @@
 """Pairing stage: score matrix assembly, greedy and exact matching."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +28,7 @@ def _dummy_solution(i: int, j: int, score: float) -> PairSolution:
     from sscn.metrics import CacheVector
     return PairSolution(i=i, j=j,
                         cache_i=CacheVector(i, [1]), cache_j=CacheVector(j, [1]),
-                        power_i=1.0, power_j=1.0, score=score,
-                        secrecy_ij=score / 2, secrecy_ji=score / 2,
-                        delay_ij=0.0, delay_ji=0.0)
+                        power_i=1.0, power_j=1.0, score=score)
 
 
 # ---------------------------------------------------------------- Pairing
@@ -232,3 +232,27 @@ def test_exact_mode_equals_reference_search_including_ties():
         want = Pairing.from_pairs(m, _reference_exact_pairs(mat)).partner
         got = solve_dup(omega_from_matrix(mat), "exact").partner
         assert got.tolist() == want.tolist(), (n, m)
+
+
+def test_exact_mode_frees_its_memo_on_return():
+    # the memoised search and its memo form a reference cycle; with the
+    # collector off, only the small closure may outlive a dense 12-user call
+    # (about 8 kB), not its several hundred memo entries (about 68 kB).  The
+    # first call fills the interpreter's free lists under tracing, so the
+    # second one's count is what it keeps.
+    m = EXACT_MODE_MAX_USERS
+    upper = np.triu(np.random.default_rng(5).random((m, m)) + 1.0, k=1)
+    omega = omega_from_matrix(upper + upper.T)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        solve_dup(omega, "exact")
+        before = tracemalloc.get_traced_memory()[0]
+        pairing = solve_dup(omega, "exact")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(pairing.matched_pairs()) == m // 2
+    assert retained < 16 * 1024, retained

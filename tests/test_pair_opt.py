@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import HAND, ZIPF3, assert_close, make_hand_pair, make_scenario
-from sscn.dual import SolverParams, run_solver
+from sscn.dual import SolverParams, measure_pair, run_solver
 from sscn.metrics import ETA_SLACK, CacheVector, pair_value_rates
 from sscn.pair_opt import (InfeasiblePairError, PairOptParams, TabuState,
                            _best_completion, _cache_table, _enumerate_table,
@@ -478,7 +478,8 @@ def test_subproblem_hand_pair_only_feasible_cache():
     assert_close(sol.score, ref.score, rel=1e-12)
     assert_close(sol.score, 2.0 * HAND["v_s"], rel=1e-9)
     assert_close(sol.power_i, 1.0, rel=1e-9)
-    assert_close(sol.secrecy_ij, HAND["v_s"], rel=1e-9)
+    rep = measure_pair(scn, 0, 1, (sol.cache_i, sol.cache_j), (sol.power_i, sol.power_j))
+    assert_close(rep.secrecy_ij, HAND["v_s"], rel=1e-9)
 
 
 @pytest.mark.parametrize("seed,num_kbs", [(1, 3), (2, 4), (3, 5), (4, 4)])
@@ -550,14 +551,15 @@ def test_enumerator_rejects_large_catalogs():
 
 
 def _exact_outcome(search, scn, tau, rho, params):
-    """Every field of ``search``'s PairSolution, or its InfeasiblePairError text."""
+    """Every field of ``search``'s PairSolution, or its InfeasiblePairError
+    text.  Per-direction secrecy values and delays are ``measure_pair`` of
+    the caches and powers, so equal fields imply equal reports."""
     try:
         sol = search(scn, 0, 1, tau, rho, params)
     except InfeasiblePairError as exc:
         return str(exc)
     return (sol.i, sol.j, sol.cache_i.bits.tolist(), sol.cache_j.bits.tolist(),
-            sol.power_i, sol.power_j, sol.score, sol.secrecy_ij, sol.secrecy_ji,
-            sol.delay_ij, sol.delay_ji)
+            sol.power_i, sol.power_j, sol.score)
 
 
 # (config, tau, rho, grid points) of pairs that take the exact search off
@@ -595,10 +597,9 @@ COMPLETION_CASES = [
 def test_matched_set_search_equals_table_enumeration(monkeypatch):
     # The matched-set branch and bound must return the table scan's answer
     # bit for bit: the same error for an infeasible pair, else the same
-    # caches (ties to the product-order first maximum), powers, score and
-    # per-direction reports.  Each case runs on its own grid without
-    # refinement, and with refinement on its own grid and on 32, 64 and 256
-    # levels.
+    # caches (ties to the product-order first maximum), powers and score.
+    # Each case runs on its own grid without refinement, and with refinement
+    # on its own grid and on 32, 64 and 256 levels.
     grid = PairOptParams(power_grid_points=32, power_refine=False)
     cases = [(make_hand_pair(), np.zeros(2), np.zeros(2), grid)]
     cases += [(generate_scenario(ScenarioConfig(num_users=2, **cfg)), np.array(tau),
@@ -668,9 +669,10 @@ def test_solution_score_matches_scalar_recomputation():
                      sol.power_i, sol.power_j,
                      tau[0], tau[1], rho[0], rho[1])
     assert abs(sol.score - ref) <= 1e-9 * max(abs(ref), 1.0)
-    # per-direction reports recompose to the same score
-    manual = ((1.0 + rho[0]) * sol.secrecy_ij - tau[0] * sol.delay_ij
-              + (1.0 + rho[1]) * sol.secrecy_ji - tau[1] * sol.delay_ji)
+    # the scalar per-direction measurements recompose to the same score
+    rep = measure_pair(scn, 0, 1, (sol.cache_i, sol.cache_j), (sol.power_i, sol.power_j))
+    manual = ((1.0 + rho[0]) * rep.secrecy_ij - tau[0] * rep.delay_ij
+              + (1.0 + rho[1]) * rep.secrecy_ji - tau[1] * rep.delay_ji)
     assert_close(sol.score, manual, rel=1e-12)
 
 
